@@ -1,5 +1,5 @@
 // Command xorp_fea runs the Forwarding Engine Abstraction process: it
-// owns the (simulated) kernel FIB, installs the routes the RIB sends it,
+// owns the router's forwarding table, installs the routes the RIB sends it,
 // and relays routing protocol packets (paper §3, §7).
 //
 // Usage:
@@ -19,7 +19,6 @@ import (
 	"xorp/internal/eventloop"
 	"xorp/internal/fea"
 	"xorp/internal/finder"
-	"xorp/internal/kernel"
 	"xorp/internal/xif"
 	"xorp/internal/xipc"
 )
@@ -42,7 +41,7 @@ func main() {
 	}
 	router.SetFinderTCP(*finderAddr)
 
-	fib := kernel.NewFIB()
+	proc := fea.New(loop, nil, router)
 	for _, spec := range ifaces {
 		name, addr, ok := strings.Cut(spec, "=")
 		if !ok {
@@ -52,10 +51,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fib.AddInterface(name, pfx, 1500)
+		proc.AddInterface(name, pfx, 1500)
 	}
 
-	proc := fea.New(loop, fib, nil, router)
 	target := xif.NewTarget("fea", "fea")
 	proc.RegisterXRLs(target)
 	router.AddTarget(target)

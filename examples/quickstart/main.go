@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"xorp/internal/bgp"
-	"xorp/internal/kernel"
+	"xorp/internal/route"
 	"xorp/internal/rtrmgr"
 	"xorp/internal/workload"
 )
@@ -64,12 +64,12 @@ func main() {
 	// The routes flow through the staged BGP pipeline, the RIB's merge
 	// and ExtInt stages, and the FEA, each hop an XRL. Wait for the FIB.
 	deadline := time.Now().Add(5 * time.Second)
-	for r.FIB.Len() < 2+len(nets) && time.Now().Before(deadline) {
+	for r.FEA.Snapshots().Current().Len() < 2+len(nets) && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
 	fmt.Println("kernel forwarding table:")
-	r.FIB.Walk(func(e kernel.FIBEntry) bool {
+	r.FEA.Snapshots().Current().Walk(func(e route.Entry) bool {
 		via := "direct"
 		if e.NextHop.IsValid() {
 			via = e.NextHop.String()
@@ -80,7 +80,7 @@ func main() {
 
 	// Look a destination up the way the forwarding plane would.
 	dst := netip.MustParseAddr("20.2.33.7")
-	if e, ok := r.FIB.Lookup(dst); ok {
+	if e, ok := r.FEA.Snapshots().Current().Lookup(dst); ok {
 		fmt.Printf("\n%v -> %v via %v (%s)\n", dst, e.Net, e.NextHop, e.IfName)
 	}
 }

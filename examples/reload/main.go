@@ -27,6 +27,7 @@ import (
 	"strings"
 
 	"xorp/internal/kernel"
+	"xorp/internal/route"
 	"xorp/internal/rtrmgr"
 )
 
@@ -111,11 +112,11 @@ func main() {
 	// Count FIB installs during the commit: the static swap may touch
 	// its own prefix, nothing else may move.
 	var installs []string
-	r.FIB.SetInstallObserver(func(e kernel.FIBEntry) {
+	r.FEA.SetInstallObserver(func(e route.Entry) {
 		installs = append(installs, e.Net.String())
 	})
 	check(r.Reload(after))
-	r.FIB.SetInstallObserver(nil)
+	r.FEA.SetInstallObserver(nil)
 
 	fmt.Printf("\n== committed: generation %d ==\n", r.Generation())
 	fmt.Print(rtrmgr.Render(r.Config, 1))
@@ -137,7 +138,7 @@ func main() {
 
 func fib(r *rtrmgr.Router) string {
 	var lines []string
-	r.FIB.Walk(func(e kernel.FIBEntry) bool {
+	r.FEA.Snapshots().Current().Walk(func(e route.Entry) bool {
 		lines = append(lines, fmt.Sprintf("  %v via %v dev %s", e.Net, e.NextHop, e.IfName))
 		return true
 	})

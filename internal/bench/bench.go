@@ -286,11 +286,11 @@ func RunLatency(label string, preload, testN int, samePeering bool) (*LatencyRes
 		}
 		// Wait for the FIB to absorb the table (static + connected add 3).
 		deadline := time.Now().Add(5 * time.Minute)
-		for r.FIB.Len() < preload && time.Now().Before(deadline) {
+		for r.FEA.Snapshots().Current().Len() < preload && time.Now().Before(deadline) {
 			time.Sleep(20 * time.Millisecond)
 		}
-		if r.FIB.Len() < preload {
-			return nil, fmt.Errorf("bench: FIB absorbed %d/%d preload routes", r.FIB.Len(), preload)
+		if r.FEA.Snapshots().Current().Len() < preload {
+			return nil, fmt.Errorf("bench: FIB absorbed %d/%d preload routes", r.FEA.Snapshots().Current().Len(), preload)
 		}
 	}
 
@@ -412,9 +412,9 @@ func RunLatency(label string, preload, testN int, samePeering bool) (*LatencyRes
 	return res, nil
 }
 
-// fibHas checks whether the kernel FIB holds exactly net.
+// fibHas checks whether the FEA's forwarding table holds exactly net.
 func fibHas(r *rtrmgr.Router, net netip.Prefix) bool {
-	e, ok := r.FIB.Lookup(net.Addr().Next())
+	e, ok := r.FEA.Snapshots().Current().Lookup(net.Addr().Next())
 	return ok && e.Net == net
 }
 

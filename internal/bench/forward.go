@@ -9,7 +9,6 @@ import (
 	"xorp/internal/eventloop"
 	"xorp/internal/fea"
 	"xorp/internal/fwd"
-	"xorp/internal/kernel"
 	"xorp/internal/rib"
 	"xorp/internal/route"
 	"xorp/internal/workload"
@@ -19,7 +18,7 @@ import (
 // Forwarding plane: lookups/sec at 1..N workers against the published
 // FIB snapshots, measured concurrently with a full-table churn run — the
 // data-plane half the paper's evaluation never covered. The churn path
-// is the real one: RIB batch fast path → FEA ApplyBatch → SimBackend →
+// is the real one: RIB batch fast path → FEA ApplyBatch →
 // one snapshot publish per batch, while the workers chase the snapshot
 // pointer lock-free.
 // ---------------------------------------------------------------------
@@ -50,9 +49,7 @@ func RunForward(nRoutes, workers int, churn bool, dur time.Duration) (ForwardRes
 	res := ForwardResult{Workers: workers, Routes: nRoutes, Churn: churn}
 
 	loop := eventloop.New(nil)
-	fib := kernel.NewFIB()
-	fib.AddInterface("eth0", netip.MustParsePrefix("192.168.1.1/24"), 1500)
-	feaProc := fea.New(loop, fib, nil, nil)
+	feaProc := fea.New(loop, nil, nil)
 	p := rib.NewProcess(loop, fea.RIBClient{P: feaProc}, nil)
 
 	nexthops := []netip.Addr{

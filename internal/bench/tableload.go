@@ -8,7 +8,6 @@ import (
 
 	"xorp/internal/eventloop"
 	"xorp/internal/fea"
-	"xorp/internal/kernel"
 	"xorp/internal/rib"
 	"xorp/internal/route"
 	"xorp/internal/workload"
@@ -36,7 +35,7 @@ type TableLoadResult struct {
 
 // RunTableLoad loads n EBGP routes (with nexthops resolving through a
 // static cover, so the extint stage does real recursive resolution) into
-// a RIB wired to an in-process FEA and kernel FIB, and reports
+// a RIB wired to an in-process FEA, and reports
 // throughput and allocation cost.
 func RunTableLoad(n int, batch bool) (TableLoadResult, error) {
 	mode := "single"
@@ -46,9 +45,7 @@ func RunTableLoad(n int, batch bool) (TableLoadResult, error) {
 	res := TableLoadResult{Mode: mode, Routes: n}
 
 	loop := eventloop.New(nil)
-	fib := kernel.NewFIB()
-	fib.AddInterface("eth0", netip.MustParsePrefix("192.168.1.1/24"), 1500)
-	feaProc := fea.New(loop, fib, nil, nil)
+	feaProc := fea.New(loop, nil, nil)
 	p := rib.NewProcess(loop, fea.RIBClient{P: feaProc}, nil)
 
 	nexthops := []netip.Addr{
@@ -100,8 +97,8 @@ func RunTableLoad(n int, batch bool) (TableLoadResult, error) {
 	if loadErr != nil {
 		return res, loadErr
 	}
-	if fib.Len() < n {
-		return res, fmt.Errorf("bench: tableload(%s): FIB absorbed %d/%d routes", mode, fib.Len(), n)
+	if got := feaProc.Snapshots().Current().Len(); got < n {
+		return res, fmt.Errorf("bench: tableload(%s): FIB absorbed %d/%d routes", mode, got, n)
 	}
 	res.RoutesPerSec = float64(n) / res.Elapsed.Seconds()
 	res.AllocsPerRoute = float64(ms1.Mallocs-ms0.Mallocs) / float64(n)

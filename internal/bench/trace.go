@@ -106,9 +106,11 @@ func runTracedLoad(n int, tr *telemetry.Tracer, enable bool, sampleShift uint) (
 			tr.SetSampleShift(sampleShift)
 			tr.Enable()
 		}
-		r.BGP.SetTracer(tr)
-		r.RIB.SetTracer(tr)
-		r.FEA.SetTracer(tr)
+		// The config's routes already flow: set each tracer on its
+		// process loop, so the write happens before that loop reads it.
+		r.BGP.Loop().DispatchAndWait(func() { r.BGP.SetTracer(tr) })
+		r.RIB.Loop().DispatchAndWait(func() { r.RIB.SetTracer(tr) })
+		r.FEA.Loop().DispatchAndWait(func() { r.FEA.SetTracer(tr) })
 	}
 	if err := r.Start(); err != nil {
 		return out, err
@@ -136,13 +138,13 @@ func runTracedLoad(n int, tr *telemetry.Tracer, enable bool, sampleShift uint) (
 		})
 	}
 	deadline := time.Now().Add(5 * time.Minute)
-	for r.FIB.Len() < n && time.Now().Before(deadline) {
+	for r.FEA.Snapshots().Current().Len() < n && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	out.result.Elapsed = time.Since(start)
 	runtime.ReadMemStats(&ms1)
-	if r.FIB.Len() < n {
-		return out, fmt.Errorf("bench: tableload(%s): FIB absorbed %d/%d routes", mode, r.FIB.Len(), n)
+	if r.FEA.Snapshots().Current().Len() < n {
+		return out, fmt.Errorf("bench: tableload(%s): FIB absorbed %d/%d routes", mode, r.FEA.Snapshots().Current().Len(), n)
 	}
 	out.result.RoutesPerSec = float64(n) / out.result.Elapsed.Seconds()
 	out.result.AllocsPerRoute = float64(ms1.Mallocs-ms0.Mallocs) / float64(n)

@@ -234,15 +234,28 @@ func (p *Peer) SendEncodedUpdate(buf []byte) {
 	p.updateBusy()
 }
 
+// backlogHighWater is the transport backlog above which a peer's fanout
+// reader is held busy (the slow-peer mechanism of §5.1.1).
+const backlogHighWater = 256 << 10
+
 // updateBusy flow-controls this peer's fanout reader from the transport
-// backlog (the slow-peer mechanism of §5.1.1).
+// backlog. Sends set the reader busy; a busy reader sends nothing more,
+// so the transport calls back through backlogDrained to clear it.
 func (p *Peer) updateBusy() {
 	if p.proc == nil || p.proc.fanout == nil {
 		return
 	}
-	const highWater = 256 << 10
-	busy := p.conn != nil && p.conn.Backlog() > highWater
+	busy := p.conn != nil && p.conn.Backlog() > backlogHighWater
 	p.proc.fanout.SetBusy(p.cfg.Name, busy)
+}
+
+// backlogDrained is dispatched by a transport whose write queue drained
+// after passing backlogHighWater: it re-evaluates flow control so the
+// reader set busy by the last send resumes.
+func (p *Peer) backlogDrained(gen int) {
+	if gen == p.connGen {
+		p.updateBusy()
+	}
 }
 
 // handleMessage processes one decoded message on the loop.
@@ -430,6 +443,9 @@ type tcpMsgConn struct {
 	wbuf    []byte
 	closed  bool
 	writing bool
+	// overMark records that the queue passed backlogHighWater since it
+	// last drained, so the drain must tell the peer (backlogDrained).
+	overMark bool
 }
 
 func newTCPMsgConn(p *Peer, c net.Conn) *tcpMsgConn {
@@ -445,6 +461,9 @@ func (t *tcpMsgConn) WriteMsg(msg []byte) error {
 		return fmt.Errorf("bgp: connection closed")
 	}
 	t.wbuf = append(t.wbuf, msg...)
+	if len(t.wbuf) > backlogHighWater {
+		t.overMark = true
+	}
 	start := !t.writing
 	t.writing = true
 	t.mu.Unlock()
@@ -459,10 +478,16 @@ func (t *tcpMsgConn) writeLoop() {
 		t.mu.Lock()
 		if len(t.wbuf) == 0 {
 			t.writing = false
+			drained := t.overMark && !t.closed
+			t.overMark = false
 			if t.closed {
 				t.c.Close()
 			}
 			t.mu.Unlock()
+			if drained {
+				gen := t.gen
+				t.peer.loop.Dispatch(func() { t.peer.backlogDrained(gen) })
+			}
 			return
 		}
 		buf := t.wbuf

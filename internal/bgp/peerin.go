@@ -222,9 +222,6 @@ func (d *DeletionStage) start() {
 	d.task = d.loop.AddTask(d.name, d.step)
 }
 
-// Remaining returns how many routes are still awaiting deletion.
-func (d *DeletionStage) Remaining() int { return d.tbl.Len() }
-
 // Done reports whether the stage has drained and unplumbed itself.
 func (d *DeletionStage) Done() bool { return d.done }
 

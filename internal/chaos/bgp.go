@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"xorp/internal/bgp"
-	"xorp/internal/kernel"
 	"xorp/internal/route"
 	"xorp/internal/rtrmgr"
 	"xorp/internal/workload"
@@ -219,7 +218,7 @@ func inject(r *rtrmgr.Router, prefixes []netip.Prefix) {
 
 func fibHasAll(r *rtrmgr.Router, prefixes []netip.Prefix) bool {
 	for _, pfx := range prefixes {
-		e, ok := r.FIB.Lookup(pfx.Addr().Next())
+		e, ok := r.FEA.Snapshots().Current().Lookup(pfx.Addr().Next())
 		if !ok || e.Net != pfx {
 			return false
 		}
@@ -264,7 +263,7 @@ func resyncComplete(r *rtrmgr.Router, proto route.Protocol) (int, error) {
 // per injected prefix) deterministically, for byte comparison.
 func dumpTables(r *rtrmgr.Router, prefixes []netip.Prefix) string {
 	var lines []string
-	r.FIB.Walk(func(e kernel.FIBEntry) bool {
+	r.FEA.Snapshots().Current().Walk(func(e route.Entry) bool {
 		lines = append(lines, fmt.Sprintf("fib %v via %v dev %s", e.Net, e.NextHop, e.IfName))
 		return true
 	})

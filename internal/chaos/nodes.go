@@ -9,6 +9,7 @@ import (
 	"xorp/internal/fwd"
 	"xorp/internal/kernel"
 	"xorp/internal/ospf"
+	"xorp/internal/rib"
 	"xorp/internal/rip"
 	"xorp/internal/route"
 	"xorp/internal/telemetry"
@@ -35,9 +36,16 @@ func (r *ribRec) AddRoute(e route.Entry) {
 	if r.tracer.Enabled() {
 		r.tracer.Stamp(telemetry.StageFIBApply, e.Net)
 	}
-	r.pub.FIBAdd(e)
+	b := rib.NewFIBBatch()
+	b.Add(e)
+	r.pub.Apply(b)
 }
-func (r *ribRec) DeleteRoute(net netip.Prefix) { r.pub.FIBDelete(route.Entry{Net: net}) }
+
+func (r *ribRec) DeleteRoute(net netip.Prefix) {
+	b := rib.NewFIBBatch()
+	b.Delete(route.Entry{Net: net})
+	r.pub.Apply(b)
+}
 
 // Snapshot returns the node's current published forwarding table.
 func (r *ribRec) Snapshot() *fwd.Snapshot { return r.pub.Current() }
@@ -65,7 +73,7 @@ func newNode(loop *eventloop.Loop, netw *kernel.Network, idx int, addr netip.Add
 	return &node{
 		idx:  idx,
 		addr: addr,
-		fea:  fea.New(loop, kernel.NewFIB(), host, nil),
+		fea:  fea.New(loop, host, nil),
 		rec:  &ribRec{pub: fwd.NewPublisher()},
 	}, nil
 }

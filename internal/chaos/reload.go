@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"xorp/internal/bgp"
-	"xorp/internal/kernel"
+	"xorp/internal/route"
 	"xorp/internal/rtrmgr"
 	"xorp/internal/workload"
 )
@@ -98,12 +98,12 @@ func RunReloadUnderChurn() (ReloadResult, error) {
 		stable[pfx] = true
 	}
 	var stableOps, churned atomic.Int64
-	r.FIB.SetInstallObserver(func(e kernel.FIBEntry) {
+	r.FEA.SetInstallObserver(func(e route.Entry) {
 		if stable[e.Net] {
 			stableOps.Add(1)
 		}
 	})
-	defer r.FIB.SetInstallObserver(nil)
+	defer r.FEA.SetInstallObserver(nil)
 
 	// Churn: announce/withdraw a rolling prefix well away from the
 	// stable set, through peer p1, for the whole transaction window.

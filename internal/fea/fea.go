@@ -1,8 +1,10 @@
 // Package fea implements the Forwarding Engine Abstraction (paper §3):
 // the stable API between the control plane and the forwarding plane. The
-// FEA installs routes into the (simulated) kernel FIB, exposes interface
-// information, and — as the security framework's network-access relay
-// (§7) — sends and receives routing protocol packets on behalf of
+// FEA owns the router's forwarding table — a fwd.Publisher whose
+// published snapshot is the FIB — and applies every write to it as one
+// rib.FIBBatch, one snapshot generation per fti call. It also keeps the
+// interface list and, as the security framework's network-access relay
+// (§7), sends and receives routing protocol packets on behalf of
 // sandboxed processes like RIP and OSPF (including multicast group
 // membership), so they never need raw network access.
 package fea
@@ -23,12 +25,23 @@ import (
 	"xorp/internal/xipc"
 )
 
+// Interface is one configured network interface.
+type Interface struct {
+	Name string
+	Addr netip.Prefix // interface address with on-link prefix
+	MTU  int
+	Up   bool
+}
+
 // Process is the FEA process.
 type Process struct {
-	loop    *eventloop.Loop
-	fib     *kernel.FIB
-	backend fwd.Backend  // forwarding-plane sink + snapshot publisher
-	host    *kernel.Host // attachment to the simulated datagram network
+	loop  *eventloop.Loop
+	pub   *fwd.Publisher // the forwarding table
+	batch *rib.FIBBatch  // reused by the fti handlers, which run on loop
+	host  *kernel.Host   // attachment to the simulated datagram network
+
+	ifMu   sync.Mutex // the rtrmgr configures interfaces from its own goroutine
+	ifaces map[string]Interface
 
 	// udpClients maps bound port -> client target to push received
 	// datagrams to (the RIP relay path). Guarded by udpMu: protocols
@@ -44,40 +57,40 @@ type Process struct {
 	profKernel *profiler.Point // "route_enter_kernel"
 
 	// tracer, when set and enabled, receives the StageFIBApply stamp as
-	// each entry lands in the kernel-shaped backend.
+	// each batch is applied.
 	tracer *telemetry.Tracer
 
 	metrics  *telemetry.Registry
 	mApplies *telemetry.Counter // fea_fib_writes_total
 }
 
-// New returns an FEA bound to fib. host may be nil (no packet relay);
-// router enables pushes to UDP clients.
-func New(loop *eventloop.Loop, fib *kernel.FIB, host *kernel.Host, router *xipc.Router) *Process {
+// New returns an FEA with an empty forwarding table. host may be nil (no
+// packet relay); router enables pushes to UDP clients.
+func New(loop *eventloop.Loop, host *kernel.Host, router *xipc.Router) *Process {
 	p := &Process{
 		loop:       loop,
-		fib:        fib,
+		pub:        fwd.NewPublisher(),
+		batch:      rib.NewFIBBatch(),
 		host:       host,
+		ifaces:     make(map[string]Interface),
 		udpClients: make(map[uint16]string),
 		router:     router,
 		prof:       profiler.New(loop.Clock()),
 	}
-	p.backend = fwd.NewSimBackend(fib)
 	p.profArrive = p.prof.Point("route_arrive_fea")
 	p.profKernel = p.prof.Point("route_enter_kernel")
 	if router != nil {
 		p.recvPush = xif.NewFEAUDPRecvClient(router)
 	}
 
-	// Live metrics. The kernel FIB is mutexed and the snapshot chain is
-	// an atomic load, so every gauge here is safe from any scrape
-	// goroutine, not just the process loop.
+	// Live metrics. The snapshot chain is an atomic load, so every gauge
+	// here is safe from any scrape goroutine, not just the process loop.
 	p.metrics = telemetry.NewRegistry()
-	p.mApplies = p.metrics.Counter("fea_fib_writes_total", "forwarding entries written to the backend")
-	p.metrics.GaugeFunc("fea_fib_entries", "entries installed in the kernel FIB",
-		func() float64 { return float64(p.fib.Len()) })
+	p.mApplies = p.metrics.Counter("fea_fib_writes_total", "forwarding entries written to the FIB")
+	p.metrics.GaugeFunc("fea_fib_entries", "entries installed in the FIB",
+		func() float64 { return float64(p.pub.Current().Len()) })
 	p.metrics.GaugeFunc("fea_snapshot_gen", "published forwarding snapshot generation",
-		func() float64 { return float64(p.backend.Current().Gen()) })
+		func() float64 { return float64(p.pub.Current().Gen()) })
 	p.metrics.GaugeFunc("fea_queue_depth", "event-loop input backlog",
 		func() float64 { return float64(loop.QueueDepth()) })
 	xipc.RegisterIOMetrics(p.metrics)
@@ -94,120 +107,117 @@ func (p *Process) Profiler() *profiler.Profiler { return p.prof }
 func (p *Process) Metrics() *telemetry.Registry { return p.metrics }
 
 // SetTracer wires the route-latency tracer: the FEA stamps StageFIBApply
-// as entries land in the backend, and forwards the tracer to the backend
-// (which stamps StageSnapPub at snapshot publication). Call at assembly
-// time, before routes flow.
+// as a batch is applied, and the publisher stamps StageSnapPub when its
+// snapshot is published. Call at assembly time, before routes flow.
 func (p *Process) SetTracer(tr *telemetry.Tracer) {
 	p.tracer = tr
-	if bt, ok := p.backend.(interface{ SetTracer(*telemetry.Tracer) }); ok {
-		bt.SetTracer(tr)
-	}
+	p.pub.SetTracer(tr)
 }
-
-// FIB returns the underlying forwarding table.
-func (p *Process) FIB() *kernel.FIB { return p.fib }
-
-// Backend returns the forwarding-plane backend every entry write goes
-// through (a fwd.SimBackend over FIB() by default).
-func (p *Process) Backend() fwd.Backend { return p.backend }
-
-// SetBackend swaps the forwarding-plane backend (e.g. for a
-// netlink-shaped one). Call before any routes are installed.
-func (p *Process) SetBackend(b fwd.Backend) { p.backend = b }
 
 // Snapshots returns the published-snapshot source forwarding workers
-// (and any other data-plane reader) should chase.
-func (p *Process) Snapshots() fwd.Source { return p.backend }
+// (and any other data-plane reader) should chase: the FIB itself.
+func (p *Process) Snapshots() fwd.Source { return p.pub }
 
-// AddEntry installs a forwarding entry ("the FEA will unconditionally
-// install the route in the kernel", §8.2). The profile points are
-// checked before formatting so disabled points cost no per-route
-// allocation.
-func (p *Process) AddEntry(e route.Entry) error {
-	if p.profArrive.Enabled() {
-		p.profArrive.Logf("add %v", e.Net)
-	}
-	if p.tracer.Enabled() {
-		p.tracer.Stamp(telemetry.StageFIBApply, e.Net)
-	}
-	p.mApplies.Inc()
-	err := p.backend.ApplyEntry(e)
-	if err == nil && p.profKernel.Enabled() {
-		p.profKernel.Logf("add %v", e.Net)
-	}
-	return err
+// SetInstallObserver registers a callback for every entry added or
+// replaced in the FIB, invoked once its snapshot is published and
+// outside the publisher's write lock (nil removes it).
+func (p *Process) SetInstallObserver(fn func(route.Entry)) { p.pub.SetInstallObserver(fn) }
+
+// AddInterface configures an interface.
+func (p *Process) AddInterface(name string, addr netip.Prefix, mtu int) {
+	p.ifMu.Lock()
+	p.ifaces[name] = Interface{Name: name, Addr: addr, MTU: mtu, Up: true}
+	p.ifMu.Unlock()
 }
 
-// DeleteEntry removes a forwarding entry.
-func (p *Process) DeleteEntry(net netip.Prefix) error {
-	if p.profArrive.Enabled() {
-		p.profArrive.Logf("delete %v", net)
+// Interfaces lists the configured interfaces.
+func (p *Process) Interfaces() []Interface {
+	p.ifMu.Lock()
+	defer p.ifMu.Unlock()
+	out := make([]Interface, 0, len(p.ifaces))
+	for _, i := range p.ifaces {
+		out = append(out, i)
 	}
-	if !p.backend.RemoveEntry(net) {
-		return fmt.Errorf("fea: no FIB entry %v", net)
-	}
-	p.mApplies.Inc()
-	if p.profKernel.Enabled() {
-		p.profKernel.Logf("delete %v", net)
-	}
-	return nil
+	return out
 }
 
-// ApplyBatch installs a coalesced forwarding update set in one pass —
-// the receiving end of the RIB's FIB push coalescing. The whole batch
-// lands in the backend as one transaction and publishes as one
-// snapshot generation, so a forwarding worker sees either the table
-// before the batch or after it, never between. Individual entry
-// failures don't abort the rest; the first error is returned.
+// ApplyBatch writes a forwarding update set to the FIB as one snapshot
+// generation, so a forwarding worker sees either the table before the
+// batch or after it, never between ("the FEA will unconditionally
+// install the route in the kernel", §8.2). Every fti call and every
+// in-process RIB push lands here. An entry with an invalid prefix is
+// not installed, and a delete of a prefix the FIB does not hold is a
+// no-op; either is reported as the returned error without aborting the
+// rest of the batch. The profile points are checked before formatting
+// so disabled points cost no per-route allocation.
 func (p *Process) ApplyBatch(b *rib.FIBBatch) error {
-	if p.profArrive.Enabled() {
-		b.Ops(func(op rib.FIBOp) {
-			switch op.Kind {
-			case rib.FIBOpAdd, rib.FIBOpReplace:
-				p.profArrive.Logf("add %v", op.New.Net)
-			case rib.FIBOpDelete:
-				p.profArrive.Logf("delete %v", op.Old.Net)
-			}
-		})
+	cur := p.pub.Current()
+	check := func(op rib.FIBOp) error {
+		switch net := op.Net(); {
+		case !net.IsValid():
+			return fmt.Errorf("fea: invalid prefix %v", net)
+		case op.Kind == rib.FIBOpDelete && !has(cur, net):
+			return fmt.Errorf("fea: no FIB entry %v", net)
+		}
+		return nil
 	}
+	var err error
+	writes := 0
+	b.Ops(func(op rib.FIBOp) {
+		logOp(p.profArrive, op)
+		if e := check(op); e != nil {
+			if err == nil {
+				err = e
+			}
+			return
+		}
+		writes++
+	})
 	if p.tracer.Enabled() {
 		p.tracer.StampBatch(telemetry.StageFIBApply, func(yield func(netip.Prefix)) {
 			b.Ops(func(op rib.FIBOp) {
-				if op.Kind == rib.FIBOpAdd || op.Kind == rib.FIBOpReplace {
+				if op.Kind != rib.FIBOpDelete {
 					yield(op.New.Net)
 				}
 			})
 		})
 	}
-	p.mApplies.Add(uint64(b.Len()))
-	err := p.backend.Apply(b)
+	p.mApplies.Add(uint64(writes))
+	p.pub.Apply(b)
 	if p.profKernel.Enabled() {
 		b.Ops(func(op rib.FIBOp) {
-			switch op.Kind {
-			case rib.FIBOpAdd, rib.FIBOpReplace:
-				p.profKernel.Logf("add %v", op.New.Net)
-			case rib.FIBOpDelete:
-				p.profKernel.Logf("delete %v", op.Old.Net)
+			if check(op) == nil {
+				logOp(p.profKernel, op)
 			}
 		})
 	}
 	return err
 }
 
-// RIBClient adapts the FEA as the RIB's FIBClient (rib.FIBClient and
-// rib.FIBBatchClient) for in-process assemblies.
+// logOp records one profile entry for op when pt is enabled: "add" for
+// an add or replace, "delete" for a delete.
+func logOp(pt *profiler.Point, op rib.FIBOp) {
+	if !pt.Enabled() {
+		return
+	}
+	if op.Kind == rib.FIBOpDelete {
+		pt.Logf("delete %v", op.Old.Net)
+	} else {
+		pt.Logf("add %v", op.New.Net)
+	}
+}
+
+// has reports whether s holds an entry at exactly net.
+func has(s *fwd.Snapshot, net netip.Prefix) bool {
+	_, ok := s.Get(net)
+	return ok
+}
+
+// RIBClient adapts the FEA as the RIB's rib.FIBClient for in-process
+// assemblies.
 type RIBClient struct{ P *Process }
 
-// FIBAdd implements rib.FIBClient.
-func (c RIBClient) FIBAdd(e route.Entry) { c.P.AddEntry(e) }
-
-// FIBReplace implements rib.FIBClient.
-func (c RIBClient) FIBReplace(_, new route.Entry) { c.P.AddEntry(new) }
-
-// FIBDelete implements rib.FIBClient.
-func (c RIBClient) FIBDelete(e route.Entry) { c.P.DeleteEntry(e.Net) }
-
-// FIBApplyBatch implements rib.FIBBatchClient.
+// FIBApplyBatch implements rib.FIBClient.
 func (c RIBClient) FIBApplyBatch(b *rib.FIBBatch) { c.P.ApplyBatch(b) }
 
 // UDPBind binds a relay port on behalf of client; received datagrams are
@@ -296,39 +306,47 @@ func (p *Process) UDPBroadcast(srcPort, dstPort uint16, payload []byte) error {
 }
 
 // feaServer adapts the Process as the typed xif server for fti/0.2,
-// ifmgr/0.1 and fea_udp/0.1.
+// ifmgr/0.1 and fea_udp/0.1. Each fti write fills the process's reused
+// batch and applies it: one call, one snapshot generation.
 type feaServer struct{ p *Process }
 
-func (s feaServer) AddEntry4(e route.Entry) error       { return s.p.AddEntry(e) }
-func (s feaServer) DeleteEntry4(net netip.Prefix) error { return s.p.DeleteEntry(net) }
+func (s feaServer) AddEntry4(e route.Entry) error {
+	return s.apply(func(b *rib.FIBBatch) { b.Add(e) })
+}
 
-// AddEntries4 applies a decoded batch; individual failures don't abort
-// the rest, the first error is reported.
+func (s feaServer) DeleteEntry4(net netip.Prefix) error {
+	return s.apply(func(b *rib.FIBBatch) { b.Delete(route.Entry{Net: net}) })
+}
+
 func (s feaServer) AddEntries4(es []route.Entry) error {
-	var firstErr error
-	for _, e := range es {
-		if err := s.p.AddEntry(e); err != nil && firstErr == nil {
-			firstErr = err
+	return s.apply(func(b *rib.FIBBatch) {
+		for i := range es {
+			b.Add(es[i])
 		}
-	}
-	return firstErr
+	})
 }
 
 func (s feaServer) DeleteEntries4(nets []netip.Prefix) error {
-	var firstErr error
-	for _, net := range nets {
-		if err := s.p.DeleteEntry(net); err != nil && firstErr == nil {
-			firstErr = err
+	return s.apply(func(b *rib.FIBBatch) {
+		for _, net := range nets {
+			b.Delete(route.Entry{Net: net})
 		}
-	}
-	return firstErr
+	})
+}
+
+// apply records one call's writes into the reused batch and applies it.
+func (s feaServer) apply(record func(*rib.FIBBatch)) error {
+	b := s.p.batch
+	b.Reset()
+	record(b)
+	return s.p.ApplyBatch(b)
 }
 
 // LookupEntry4 answers from the published snapshot — the same immutable
 // table the forwarding workers read — so an XRL lookup and a concurrent
 // data-plane lookup can never disagree.
 func (s feaServer) LookupEntry4(addr netip.Addr) (xif.FTILookup, error) {
-	e, ok := s.p.backend.Current().Lookup(addr)
+	e, ok := s.p.pub.Current().Lookup(addr)
 	if !ok {
 		return xif.FTILookup{}, nil
 	}
@@ -337,7 +355,7 @@ func (s feaServer) LookupEntry4(addr netip.Addr) (xif.FTILookup, error) {
 
 func (s feaServer) GetInterfaces() ([]string, error) {
 	var out []string
-	for _, i := range s.p.fib.Interfaces() {
+	for _, i := range s.p.Interfaces() {
 		out = append(out, fmt.Sprintf("%s %v %d %v", i.Name, i.Addr, i.MTU, i.Up))
 	}
 	return out, nil

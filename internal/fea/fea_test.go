@@ -15,32 +15,100 @@ import (
 func mustP(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 func mustA(s string) netip.Addr   { return netip.MustParseAddr(s) }
 
-func newFEA(t *testing.T) (*Process, *kernel.FIB, *eventloop.Loop) {
+func newFEA(t *testing.T) (*Process, *eventloop.Loop) {
 	t.Helper()
 	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
-	fib := kernel.NewFIB()
-	return New(loop, fib, nil, nil), fib, loop
+	return New(loop, nil, nil), loop
 }
 
 func TestAddDeleteEntry(t *testing.T) {
-	p, fib, _ := newFEA(t)
+	p, _ := newFEA(t)
+	srv := feaServer{p}
 	e := route.Entry{Net: mustP("10.0.0.0/8"), NextHop: mustA("192.168.1.254"), IfName: "eth0"}
-	if err := p.AddEntry(e); err != nil {
+	if err := srv.AddEntry4(e); err != nil {
 		t.Fatal(err)
 	}
-	if fib.Len() != 1 {
+	if p.Snapshots().Current().Len() != 1 {
 		t.Fatal("entry not installed")
 	}
-	if err := p.DeleteEntry(e.Net); err != nil {
+	if err := srv.DeleteEntry4(e.Net); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.DeleteEntry(e.Net); err == nil {
+	if err := srv.DeleteEntry4(e.Net); err == nil {
 		t.Fatal("double delete accepted")
 	}
 }
 
+// TestAddEntriesOneGeneration: one add_entries4 of N entries is one
+// batch, so it installs all N and advances the snapshot by exactly one
+// generation; a delete_entries4 of them is one more.
+func TestAddEntriesOneGeneration(t *testing.T) {
+	p, _ := newFEA(t)
+	srv := feaServer{p}
+	const n = 64
+	es := make([]route.Entry, n)
+	nets := make([]netip.Prefix, n)
+	for i := range es {
+		nets[i] = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16)
+		es[i] = route.Entry{Net: nets[i], NextHop: mustA("192.168.1.254"), IfName: "eth0"}
+	}
+	gen0 := p.Snapshots().Current().Gen()
+	if err := srv.AddEntries4(es); err != nil {
+		t.Fatal(err)
+	}
+	s := p.Snapshots().Current()
+	if s.Gen() != gen0+1 || s.Len() != n {
+		t.Fatalf("after add_entries4: gen %d (want %d), len %d (want %d)", s.Gen(), gen0+1, s.Len(), n)
+	}
+	if err := srv.DeleteEntries4(nets); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.Snapshots().Current(); s.Gen() != gen0+2 || s.Len() != 0 {
+		t.Fatalf("after delete_entries4: gen %d (want %d), len %d", s.Gen(), gen0+2, s.Len())
+	}
+}
+
+// TestDeleteAbsentErrors: a delete of a prefix the FIB does not hold is
+// reported, alone or inside a batch, and the rest of the batch still
+// applies.
+func TestDeleteAbsentErrors(t *testing.T) {
+	p, _ := newFEA(t)
+	srv := feaServer{p}
+	if err := srv.DeleteEntry4(mustP("10.0.0.0/8")); err == nil {
+		t.Fatal("delete_entry4 of an absent prefix accepted")
+	}
+	srv.AddEntry4(route.Entry{Net: mustP("10.1.0.0/16"), IfName: "eth0"})
+	if err := srv.DeleteEntries4([]netip.Prefix{mustP("10.0.0.0/8"), mustP("10.1.0.0/16")}); err == nil {
+		t.Fatal("delete_entries4 with an absent prefix accepted")
+	}
+	if n := p.Snapshots().Current().Len(); n != 0 {
+		t.Fatalf("installed prefix survived the batch: len %d", n)
+	}
+}
+
+// TestInvalidPrefixRejected: an entry with an invalid prefix is
+// reported and never installed, without aborting the rest of the batch.
+func TestInvalidPrefixRejected(t *testing.T) {
+	p, _ := newFEA(t)
+	srv := feaServer{p}
+	if err := srv.AddEntry4(route.Entry{IfName: "eth0"}); err == nil {
+		t.Fatal("invalid prefix accepted")
+	}
+	good := route.Entry{Net: mustP("10.0.0.0/8"), IfName: "eth0"}
+	if err := srv.AddEntries4([]route.Entry{{IfName: "eth0"}, good}); err == nil {
+		t.Fatal("invalid prefix in a batch accepted")
+	}
+	s := p.Snapshots().Current()
+	if _, ok := s.Get(good.Net); !ok || s.Len() != 1 {
+		t.Fatalf("snapshot len %d, valid entry installed %v", s.Len(), ok)
+	}
+	if got, _ := p.Metrics().Get("fea_fib_writes_total"); got != 1 {
+		t.Fatalf("fea_fib_writes_total = %v, want 1 (rejected entries are not writes)", got)
+	}
+}
+
 func TestProfilePointsFire(t *testing.T) {
-	p, _, loop := newFEA(t)
+	p, loop := newFEA(t)
 	var enabled bool
 	loop.Dispatch(func() {
 		p.Profiler().Enable("route_enter_kernel")
@@ -50,7 +118,7 @@ func TestProfilePointsFire(t *testing.T) {
 	if !enabled {
 		t.Fatal("loop stuck")
 	}
-	p.AddEntry(route.Entry{Net: mustP("10.0.0.0/8"), IfName: "eth0"})
+	feaServer{p}.AddEntry4(route.Entry{Net: mustP("10.0.0.0/8"), IfName: "eth0"})
 	recs := p.Profiler().Entries("route_enter_kernel")
 	if len(recs) != 1 || recs[0].Event != "add 10.0.0.0/8" {
 		t.Fatalf("records %v", recs)
@@ -59,10 +127,9 @@ func TestProfilePointsFire(t *testing.T) {
 
 func TestXRLInterface(t *testing.T) {
 	loop := eventloop.New(nil)
-	fib := kernel.NewFIB()
-	fib.AddInterface("eth0", mustP("192.168.1.1/24"), 1500)
 	router := xipc.NewRouter("fea_process", loop)
-	p := New(loop, fib, nil, router)
+	p := New(loop, nil, router)
+	p.AddInterface("eth0", mustP("192.168.1.1/24"), 1500)
 	target := xipc.NewTarget("fea", "fea")
 	p.RegisterXRLs(target)
 	router.AddTarget(target)
@@ -106,7 +173,7 @@ func TestXRLInterface(t *testing.T) {
 }
 
 func TestUDPRelayWithoutNetworkFails(t *testing.T) {
-	p, _, _ := newFEA(t)
+	p, _ := newFEA(t)
 	if err := p.UDPBind(520, "rip", nil); err == nil {
 		t.Fatal("bind without network accepted")
 	}
@@ -126,8 +193,8 @@ func TestUDPRelayRoundTrip(t *testing.T) {
 	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
 	hostA, _ := netw.Attach(mustA("10.0.0.1"))
 	hostB, _ := netw.Attach(mustA("10.0.0.2"))
-	feaA := New(loop, kernel.NewFIB(), hostA, nil)
-	feaB := New(loop, kernel.NewFIB(), hostB, nil)
+	feaA := New(loop, hostA, nil)
+	feaB := New(loop, hostB, nil)
 
 	var got []byte
 	if err := feaB.UDPBind(520, "rip", func(src netip.AddrPort, payload []byte) {
@@ -151,8 +218,8 @@ func TestUDPMulticastRelay(t *testing.T) {
 	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
 	hostA, _ := netw.Attach(mustA("10.0.0.1"))
 	hostB, _ := netw.Attach(mustA("10.0.0.2"))
-	feaA := New(loop, kernel.NewFIB(), hostA, nil)
-	feaB := New(loop, kernel.NewFIB(), hostB, nil)
+	feaA := New(loop, hostA, nil)
+	feaB := New(loop, hostB, nil)
 
 	group := mustA("224.0.0.5")
 	if err := feaB.UDPJoinGroup(group); err != nil {

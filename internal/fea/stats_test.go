@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"xorp/internal/eventloop"
-	"xorp/internal/kernel"
 	"xorp/internal/route"
 	"xorp/internal/xipc"
 	"xorp/internal/xrl"
@@ -16,16 +15,15 @@ import (
 // plaintext lines, and get resolves a single metric live.
 func TestStatsXRL(t *testing.T) {
 	loop := eventloop.New(nil)
-	fib := kernel.NewFIB()
 	router := xipc.NewRouter("fea_process", loop)
-	p := New(loop, fib, nil, router)
+	p := New(loop, nil, router)
 	target := xipc.NewTarget("fea", "fea")
 	p.RegisterXRLs(target)
 	router.AddTarget(target)
 	go loop.Run()
 	defer loop.Stop()
 
-	if err := p.AddEntry(route.Entry{Net: mustP("10.0.0.0/8"), IfName: "eth0"}); err != nil {
+	if err := (feaServer{p}).AddEntry4(route.Entry{Net: mustP("10.0.0.0/8"), IfName: "eth0"}); err != nil {
 		t.Fatal(err)
 	}
 

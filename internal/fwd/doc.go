@@ -4,7 +4,8 @@
 // applied batch into a new immutable FIB snapshot — a copy-on-write
 // longest-prefix-match table (trie.Persistent) published with a single
 // atomic pointer flip — and forwards a synthetic packet stream against
-// it from N shared-nothing lookup workers.
+// it from N shared-nothing lookup workers. The FEA's Publisher is the
+// router's only forwarding table: there is no second, mutexed copy.
 //
 // The shape follows NDN-DPDK's FwFwd design (one forwarding thread per
 // core, per-worker counters and a latency RunningStat, no shared mutable
@@ -14,9 +15,10 @@
 // lookup throughput scales with cores by construction.
 //
 //	RIB stage network
-//	      │  rib.FIBBatch (coalesced adds/replaces/deletes)
+//	      │  rib.FIBBatch (coalesced adds/replaces/deletes; one route
+//	      │  is a batch of one)
 //	      ▼
-//	 fwd.Backend ── sim kernel (kernel.FIB mirror) or netlink-shaped
+//	 FEA ApplyBatch: validate, profile points 7 and 8, trace stamps
 //	      │
 //	 Publisher.Apply: derive snapshot n+1 from n (path-copying trie)
 //	      │  one atomic pointer flip

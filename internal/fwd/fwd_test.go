@@ -1,17 +1,16 @@
 package fwd_test
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"net/netip"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 
 	"xorp/internal/eventloop"
 	"xorp/internal/fwd"
-	"xorp/internal/kernel"
 	"xorp/internal/rib"
 	"xorp/internal/route"
 	"xorp/internal/xif"
@@ -76,41 +75,66 @@ func randomEntry(rng *rand.Rand) route.Entry {
 	}
 }
 
+// lpmModel is the reference forwarding table the snapshot oracles check
+// against: a plain map of installed entries, answering a longest-match
+// query by brute force over every prefix length.
+type lpmModel map[netip.Prefix]route.Entry
+
+func (m lpmModel) apply(b *rib.FIBBatch) {
+	b.Ops(func(op rib.FIBOp) {
+		switch op.Kind {
+		case rib.FIBOpAdd, rib.FIBOpReplace:
+			m[op.New.Net] = op.New
+		case rib.FIBOpDelete:
+			delete(m, op.Old.Net)
+		}
+	})
+}
+
+func (m lpmModel) lookup(a netip.Addr) (route.Entry, bool) {
+	for bits := a.BitLen(); bits >= 0; bits-- {
+		if e, ok := m[netip.PrefixFrom(a, bits).Masked()]; ok {
+			return e, true
+		}
+	}
+	return route.Entry{}, false
+}
+
+// agree reports the first probe on which snap and the model disagree.
+func (m lpmModel) agree(snap *fwd.Snapshot, probes []netip.Addr) error {
+	if snap.Len() != len(m) {
+		return fmt.Errorf("snapshot len %d != model len %d", snap.Len(), len(m))
+	}
+	for _, a := range probes {
+		se, sok := snap.Lookup(a)
+		me, mok := m.lookup(a)
+		if sok != mok {
+			return fmt.Errorf("probe %v: snapshot found=%v, model found=%v", a, sok, mok)
+		}
+		if !sok {
+			continue
+		}
+		got := fmt.Sprintf("%v %v %s", se.Net, se.NextHop, se.IfName)
+		want := fmt.Sprintf("%v %v %s", me.Net, me.NextHop, me.IfName)
+		if got != want {
+			return fmt.Errorf("probe %v: snapshot %q != model %q", a, got, want)
+		}
+	}
+	return nil
+}
+
 // TestSnapshotFIBOracle is the differential oracle: the same batch
-// stream applied to a mutexed kernel.FIB (through the SimBackend) and
-// read back through the published snapshots must give byte-identical
-// longest-prefix-match answers at every generation. CI fails on any
-// divergence.
+// stream applied to the publisher and to the reference model must give
+// byte-identical longest-prefix-match answers at every generation. CI
+// fails on any divergence.
 func TestSnapshotFIBOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	fib := kernel.NewFIB()
-	backend := fwd.NewSimBackend(fib)
+	pub := fwd.NewPublisher()
+	model := lpmModel{}
 
 	probes := make([]netip.Addr, 256)
 	for i := range probes {
 		probes[i] = netip.AddrFrom4([4]byte{10, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))})
-	}
-
-	check := func(step int) {
-		snap := backend.Current()
-		if snap.Len() != fib.Len() {
-			t.Fatalf("step %d: snapshot len %d != FIB len %d", step, snap.Len(), fib.Len())
-		}
-		for _, a := range probes {
-			se, sok := snap.Lookup(a)
-			fe, fok := fib.Lookup(a)
-			if sok != fok {
-				t.Fatalf("step %d: probe %v: snapshot found=%v, FIB found=%v", step, a, sok, fok)
-			}
-			if !sok {
-				continue
-			}
-			got := fmt.Sprintf("%v %v %s", se.Net, se.NextHop, se.IfName)
-			want := fmt.Sprintf("%v %v %s", fe.Net, fe.NextHop, fe.IfName)
-			if got != want {
-				t.Fatalf("step %d: probe %v: snapshot %q != FIB %q", step, a, got, want)
-			}
-		}
 	}
 
 	live := make([]netip.Prefix, 0, 512)
@@ -128,10 +152,108 @@ func TestSnapshotFIBOracle(t *testing.T) {
 				live = append(live, e.Net)
 			}
 		}
-		if err := backend.Apply(b); err != nil {
-			t.Fatalf("step %d: apply: %v", step, err)
+		snap := pub.Apply(b)
+		model.apply(b)
+		if snap.Gen() != uint64(step+1) {
+			t.Fatalf("step %d: generation %d, want %d", step, snap.Gen(), step+1)
 		}
-		check(step)
+		if err := model.agree(snap, probes); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+}
+
+// TestQuickFIBMatchesModel drives random install/remove streams, one
+// batch of one per op, through a publisher and checks the final
+// snapshot against the reference model at every installed prefix.
+func TestQuickFIBMatchesModel(t *testing.T) {
+	f := func(ops []uint32) bool {
+		pub := fwd.NewPublisher()
+		model := lpmModel{}
+		var probes []netip.Addr
+		for _, op := range ops {
+			bits := int(op>>24) % 25
+			p, err := netip.AddrFrom4([4]byte{byte(op), byte(op >> 8), 0, 0}).Prefix(bits)
+			if err != nil {
+				continue
+			}
+			b := rib.NewFIBBatch()
+			if op%3 == 0 {
+				b.Delete(route.Entry{Net: p})
+			} else {
+				b.Add(route.Entry{Net: p, NextHop: mustA("10.0.0.254"), IfName: "eth0"})
+			}
+			pub.Apply(b)
+			model.apply(b)
+			probes = append(probes, p.Addr())
+		}
+		if err := model.agree(pub.Current(), probes); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFIBInstallObserver: the observer sees every published add, and
+// nothing once removed.
+func TestFIBInstallObserver(t *testing.T) {
+	pub := fwd.NewPublisher()
+	var seen []netip.Prefix
+	pub.SetInstallObserver(func(e route.Entry) { seen = append(seen, e.Net) })
+	b := rib.NewFIBBatch()
+	b.Add(route.Entry{Net: mustP("10.0.0.0/8")})
+	b.Add(route.Entry{}) // invalid: never installed, never observed
+	pub.Apply(b)
+	pub.SetInstallObserver(nil)
+	b.Reset()
+	b.Add(route.Entry{Net: mustP("11.0.0.0/8")})
+	pub.Apply(b)
+	if len(seen) != 1 || seen[0] != mustP("10.0.0.0/8") {
+		t.Fatalf("observer saw %v", seen)
+	}
+}
+
+// TestFIBObserverRunsOutsideLock pins the install-observer invariant:
+// callbacks fire after publication with the write lock released, so an
+// observer sees its entry in Current and may reenter the publisher. If
+// Apply ever invoked the callback under its mutex, the reentrant Apply
+// and SetInstallObserver calls here would deadlock (and the test would
+// time out).
+func TestFIBObserverRunsOutsideLock(t *testing.T) {
+	pub := fwd.NewPublisher()
+	var seen []netip.Prefix
+	var observe func(route.Entry)
+	observe = func(e route.Entry) {
+		if _, ok := pub.Current().Get(e.Net); !ok {
+			t.Errorf("observer: %v not published at callback time", e.Net)
+		}
+		seen = append(seen, e.Net)
+		if e.Net == mustP("10.0.0.0/8") {
+			// Reentrant writes: legal only because the lock is not held.
+			pub.SetInstallObserver(observe)
+			d := rib.NewFIBBatch()
+			d.Delete(e)
+			pub.Apply(d)
+		}
+	}
+	pub.SetInstallObserver(observe)
+
+	b := rib.NewFIBBatch()
+	b.Add(route.Entry{Net: mustP("10.0.0.0/8")})
+	pub.Apply(b)
+	b.Reset()
+	b.Add(route.Entry{Net: mustP("10.1.0.0/16")})
+	b.Add(route.Entry{Net: mustP("10.2.0.0/16")})
+	pub.Apply(b)
+	if len(seen) != 3 {
+		t.Fatalf("observer saw %d installs, want 3: %v", len(seen), seen)
+	}
+	if s := pub.Current(); s.Len() != 2 || s.Gen() != 3 {
+		t.Fatalf("len %d gen %d, want 2 entries at generation 3", s.Len(), s.Gen())
 	}
 }
 
@@ -141,8 +263,7 @@ func TestSnapshotFIBOracle(t *testing.T) {
 // also asserts reader-visible invariants: generations never go
 // backward, and a snapshot's length always matches a full walk of it.
 func TestRaceSwapVsLookup(t *testing.T) {
-	fib := kernel.NewFIB()
-	backend := fwd.NewSimBackend(fib)
+	pub := fwd.NewPublisher()
 
 	seed := rib.NewFIBBatch()
 	prefixes := make([]netip.Prefix, 0, 64)
@@ -151,9 +272,7 @@ func TestRaceSwapVsLookup(t *testing.T) {
 		seed.Add(route.Entry{Net: p, NextHop: mustA("192.168.1.1")})
 		prefixes = append(prefixes, p)
 	}
-	if err := backend.Apply(seed); err != nil {
-		t.Fatal(err)
-	}
+	pub.Apply(seed)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -164,7 +283,7 @@ func TestRaceSwapVsLookup(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(id)))
 			lastGen := uint64(0)
 			for !stop.Load() {
-				snap := backend.Current()
+				snap := pub.Current()
 				if g := snap.Gen(); g < lastGen {
 					t.Errorf("reader %d: generation went backward %d -> %d", id, lastGen, g)
 					return
@@ -189,7 +308,22 @@ func TestRaceSwapVsLookup(t *testing.T) {
 		}(r)
 	}
 
-	// Writer: churn adds/deletes through the backend.
+	// An observer swapped in and out while the writer publishes: it
+	// must only ever see entries of the batch being published.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			pub.SetInstallObserver(func(e route.Entry) {
+				if e.NextHop != mustA("192.168.1.2") {
+					t.Errorf("observer saw %v, not a churned entry", e)
+				}
+			})
+			pub.SetInstallObserver(nil)
+		}
+	}()
+
+	// Writer: churn adds/deletes through the publisher.
 	rng := rand.New(rand.NewSource(99))
 	for step := 0; step < 400; step++ {
 		b := rib.NewFIBBatch()
@@ -201,9 +335,7 @@ func TestRaceSwapVsLookup(t *testing.T) {
 				b.Add(route.Entry{Net: p, NextHop: mustA("192.168.1.2")})
 			}
 		}
-		if err := backend.Apply(b); err != nil {
-			t.Fatal(err)
-		}
+		pub.Apply(b)
 	}
 	stop.Store(true)
 	wg.Wait()
@@ -213,8 +345,7 @@ func TestRaceSwapVsLookup(t *testing.T) {
 // counter identities: lookups = hits + drops, all workers progressed,
 // and the miss traffic actually misses.
 func TestPoolForwarding(t *testing.T) {
-	fib := kernel.NewFIB()
-	backend := fwd.NewSimBackend(fib)
+	pub := fwd.NewPublisher()
 	seed := rib.NewFIBBatch()
 	prefixes := make([]netip.Prefix, 0, 32)
 	for i := 0; i < 32; i++ {
@@ -222,7 +353,7 @@ func TestPoolForwarding(t *testing.T) {
 		seed.Add(route.Entry{Net: p, NextHop: mustA("192.168.1.1")})
 		prefixes = append(prefixes, p)
 	}
-	backend.Apply(seed)
+	pub.Apply(seed)
 
 	stream, err := fwd.NewStream(fwd.StreamConfig{
 		Prefixes: prefixes, Dist: "zipf", MissRatio: 0.25, Seed: 1,
@@ -230,7 +361,7 @@ func TestPoolForwarding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := fwd.NewPool(backend, stream, 2)
+	pool := fwd.NewPool(pub, stream, 2)
 	pool.Start()
 	// Let every worker complete at least one flush quantum.
 	for {
@@ -305,78 +436,19 @@ func TestStreamDeterminismAndDistribution(t *testing.T) {
 	}
 }
 
-// TestNetlinkBackendCodec round-trips a batch through the rtnetlink
-// framing and checks the published snapshot matches the sim backend's
-// for the same batch.
-func TestNetlinkBackendCodec(t *testing.T) {
-	var buf bytes.Buffer
-	nl := fwd.NewNetlinkBackend(&buf)
-
-	b := rib.NewFIBBatch()
-	e1 := route.Entry{Net: mustP("10.0.0.0/8"), NextHop: mustA("192.168.1.1"), IfName: "eth0"}
-	e2 := route.Entry{Net: mustP("10.1.0.0/16"), IfName: "eth1"}
-	b.Add(e1)
-	b.Add(e2)
-	b.Delete(route.Entry{Net: mustP("172.16.0.0/12")})
-	if err := nl.Apply(b); err != nil {
-		t.Fatal(err)
-	}
-
-	msgs, err := fwd.DecodeRouteMsgs(buf.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(msgs) != 3 || nl.Messages() != 3 {
-		t.Fatalf("decoded %d msgs (counter %d), want 3", len(msgs), nl.Messages())
-	}
-	byNet := map[netip.Prefix]fwd.RouteMsg{}
-	for _, m := range msgs {
-		byNet[m.Net] = m
-	}
-	m1 := byNet[e1.Net]
-	if m1.Type != fwd.RTM_NEWROUTE || m1.Gateway != e1.NextHop || m1.OIF == 0 {
-		t.Fatalf("e1 msg = %+v", m1)
-	}
-	m2 := byNet[e2.Net]
-	if m2.Type != fwd.RTM_NEWROUTE || m2.Gateway.IsValid() || m2.OIF == m1.OIF {
-		t.Fatalf("e2 msg = %+v", m2)
-	}
-	if byNet[mustP("172.16.0.0/12")].Type != fwd.RTM_DELROUTE {
-		t.Fatalf("delete msg = %+v", byNet[mustP("172.16.0.0/12")])
-	}
-
-	// Snapshot side matches a sim backend fed the same batch.
-	sim := fwd.NewSimBackend(kernel.NewFIB())
-	b2 := rib.NewFIBBatch()
-	b2.Add(e1)
-	b2.Add(e2)
-	b2.Delete(route.Entry{Net: mustP("172.16.0.0/12")})
-	sim.Apply(b2)
-	if nl.Current().Len() != sim.Current().Len() {
-		t.Fatalf("netlink snapshot len %d != sim %d", nl.Current().Len(), sim.Current().Len())
-	}
-	probe := mustA("10.1.2.3")
-	ne, nok := nl.Current().Lookup(probe)
-	se, sok := sim.Current().Lookup(probe)
-	if nok != sok || ne.Net != se.Net {
-		t.Fatalf("backends disagree: %v/%v vs %v/%v", ne, nok, se, sok)
-	}
-}
-
 // TestFwdXRL scrapes a running pool through the fwd/0.1 typed stub.
 func TestFwdXRL(t *testing.T) {
-	fib := kernel.NewFIB()
-	backend := fwd.NewSimBackend(fib)
+	pub := fwd.NewPublisher()
 	seed := rib.NewFIBBatch()
 	prefixes := []netip.Prefix{mustP("10.0.0.0/8")}
 	seed.Add(route.Entry{Net: prefixes[0], NextHop: mustA("192.168.1.1")})
-	backend.Apply(seed)
+	pub.Apply(seed)
 
 	stream, err := fwd.NewStream(fwd.StreamConfig{Prefixes: prefixes, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := fwd.NewPool(backend, stream, 2)
+	pool := fwd.NewPool(pub, stream, 2)
 	pool.Start()
 	defer pool.Stop()
 	for pool.Counters().Lookups < 2048 {

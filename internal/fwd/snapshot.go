@@ -47,8 +47,7 @@ func (s *Snapshot) Walk(fn func(route.Entry) bool) {
 	s.tbl.Walk(func(_ netip.Prefix, e route.Entry) bool { return fn(e) })
 }
 
-// Source is anything that exposes a current forwarding snapshot: the
-// Publisher itself, or a Backend wrapping one.
+// Source is anything that exposes a current forwarding snapshot.
 type Source interface {
 	Current() *Snapshot
 }
@@ -59,13 +58,16 @@ type Source interface {
 // serialize among themselves on an internal mutex that no reader ever
 // touches; Current is a single atomic load.
 //
-// Publisher implements rib.FIBClient and rib.FIBBatchClient, so it can
-// sit directly below a RIB's fib sink, and Source, so workers can chase
-// its snapshots.
+// Publisher implements Source, so workers can chase its snapshots. In an
+// assembled router the FEA owns the Publisher and is its only writer.
 type Publisher struct {
 	cur atomic.Pointer[Snapshot]
 
-	mu sync.Mutex // serializes Apply/FIB* writers
+	mu sync.Mutex // serializes Apply writers; guards onInstall
+
+	// onInstall, if set, observes every added or replaced entry once its
+	// snapshot is published (profile point 8, "entering the kernel").
+	onInstall func(route.Entry)
 
 	// tracer, when set and enabled, receives the StageSnapPub stamp for
 	// every added/replaced prefix the moment its snapshot is published —
@@ -89,12 +91,23 @@ func (p *Publisher) Current() *Snapshot { return p.cur.Load() }
 // publication. Call at assembly time, before traffic flows.
 func (p *Publisher) SetTracer(tr *telemetry.Tracer) { p.tracer = tr }
 
+// SetInstallObserver registers a callback invoked for every added or
+// replaced entry after the snapshot holding it is published (nil
+// removes it). The callback runs on the applying goroutine with the
+// write lock released, so it may read or even write the publisher, and
+// a slow observer never delays another writer.
+func (p *Publisher) SetInstallObserver(fn func(route.Entry)) {
+	p.mu.Lock()
+	p.onInstall = fn
+	p.mu.Unlock()
+}
+
 // Apply derives the next snapshot from the current one by applying the
 // batch's net operations and publishes it. The whole batch becomes
-// visible in one pointer flip. Returns the published snapshot.
+// visible in one pointer flip. Entries with an invalid prefix are
+// ignored. Returns the published snapshot.
 func (p *Publisher) Apply(b *rib.FIBBatch) *Snapshot {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	old := p.cur.Load()
 	tbl := old.tbl
 	b.Ops(func(op rib.FIBOp) {
@@ -107,53 +120,25 @@ func (p *Publisher) Apply(b *rib.FIBBatch) *Snapshot {
 	})
 	next := &Snapshot{gen: old.gen + 1, tbl: tbl}
 	p.cur.Store(next)
+	onInstall := p.onInstall
+	p.mu.Unlock()
 	if p.tracer.Enabled() {
 		p.tracer.StampBatch(telemetry.StageSnapPub, func(yield func(netip.Prefix)) {
-			b.Ops(func(op rib.FIBOp) {
-				if op.Kind == rib.FIBOpAdd || op.Kind == rib.FIBOpReplace {
-					yield(op.New.Net)
-				}
-			})
+			installed(b, func(e route.Entry) { yield(e.Net) })
 		})
+	}
+	if onInstall != nil {
+		installed(b, onInstall)
 	}
 	return next
 }
 
-// publish1 applies a single-entry mutation as its own generation.
-func (p *Publisher) publish1(mutate func(*trie.Persistent[route.Entry]) *trie.Persistent[route.Entry]) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	old := p.cur.Load()
-	p.cur.Store(&Snapshot{gen: old.gen + 1, tbl: mutate(old.tbl)})
-}
-
-// FIBAdd implements rib.FIBClient.
-func (p *Publisher) FIBAdd(e route.Entry) {
-	p.publish1(func(t *trie.Persistent[route.Entry]) *trie.Persistent[route.Entry] {
-		return t.Insert(e.Net, e)
-	})
-	if p.tracer.Enabled() {
-		p.tracer.Stamp(telemetry.StageSnapPub, e.Net)
-	}
-}
-
-// FIBReplace implements rib.FIBClient.
-func (p *Publisher) FIBReplace(_, new route.Entry) {
-	p.publish1(func(t *trie.Persistent[route.Entry]) *trie.Persistent[route.Entry] {
-		return t.Insert(new.Net, new)
-	})
-	if p.tracer.Enabled() {
-		p.tracer.Stamp(telemetry.StageSnapPub, new.Net)
-	}
-}
-
-// FIBDelete implements rib.FIBClient.
-func (p *Publisher) FIBDelete(e route.Entry) {
-	p.publish1(func(t *trie.Persistent[route.Entry]) *trie.Persistent[route.Entry] {
-		t, _ = t.Delete(e.Net)
-		return t
+// installed visits the entries b adds or replaces, skipping invalid
+// prefixes (which Apply never installs).
+func installed(b *rib.FIBBatch, fn func(route.Entry)) {
+	b.Ops(func(op rib.FIBOp) {
+		if (op.Kind == rib.FIBOpAdd || op.Kind == rib.FIBOpReplace) && op.New.Net.IsValid() {
+			fn(op.New)
+		}
 	})
 }
-
-// FIBApplyBatch implements rib.FIBBatchClient.
-func (p *Publisher) FIBApplyBatch(b *rib.FIBBatch) { p.Apply(b) }

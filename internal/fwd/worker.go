@@ -4,9 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"xorp/internal/profiler"
-	"xorp/internal/telemetry"
 )
 
 // flushEvery is how many lookups a worker batches locally before
@@ -100,8 +97,6 @@ type Pool struct {
 	stop    atomic.Bool
 	wg      sync.WaitGroup
 	started bool
-
-	point *profiler.Point
 }
 
 // NewPool creates (but does not start) a pool of n workers forwarding
@@ -115,34 +110,6 @@ func NewPool(src Source, stream *Stream, n int) *Pool {
 		p.workers = append(p.workers, &Worker{id: i})
 	}
 	return p
-}
-
-// AttachProfiler registers the pool's fwd_counters profiling point, so
-// Scrape records land in the standard profile/0.1 retrieval path.
-func (p *Pool) AttachProfiler(prof *profiler.Profiler) {
-	p.point = prof.Point("fwd_counters")
-}
-
-// RegisterMetrics publishes the pool's live counters into a telemetry
-// registry: pool-aggregate lookup/hit/drop counters, the observed
-// snapshot generation, and the merged per-worker latency summary. All
-// reads go through the workers' atomics (at most flushEvery lookups
-// stale), so a scrape never touches the forwarding hot loop.
-func (p *Pool) RegisterMetrics(reg *telemetry.Registry) {
-	reg.GaugeFunc("fwd_workers", "forwarding worker count",
-		func() float64 { return float64(len(p.workers)) })
-	reg.CounterFunc("fwd_lookups_total", "forwarding lookups performed",
-		func() float64 { return float64(p.Counters().Lookups) })
-	reg.CounterFunc("fwd_hits_total", "lookups that matched a route",
-		func() float64 { return float64(p.Counters().Hits) })
-	reg.CounterFunc("fwd_drops_total", "lookups with no matching route",
-		func() float64 { return float64(p.Counters().Drops) })
-	reg.GaugeFunc("fwd_snapshot_gen", "snapshot generation observed by workers",
-		func() float64 { return float64(p.src.Current().Gen()) })
-	reg.GaugeFunc("fwd_lat_mean_ns", "mean sampled lookup latency (ns)",
-		func() float64 { lat := p.Counters().Latency; return lat.Mean() })
-	reg.GaugeFunc("fwd_lat_max_ns", "max sampled lookup latency (ns)",
-		func() float64 { lat := p.Counters().Latency; return lat.Max() })
 }
 
 // Workers returns the worker count.
@@ -196,18 +163,4 @@ func (p *Pool) Counters() Counters {
 		agg.Latency.Merge(c.Latency)
 	}
 	return agg
-}
-
-// Scrape logs one record per worker plus the aggregate to the
-// fwd_counters profiling point (a no-op when the point is disabled or
-// no profiler is attached). Call from the owning event loop, like any
-// Point.Log.
-func (p *Pool) Scrape() {
-	if p.point == nil || !p.point.Enabled() {
-		return
-	}
-	for _, w := range p.workers {
-		p.point.Log(w.Counters().String())
-	}
-	p.point.Log(p.Counters().String())
 }

@@ -10,7 +10,6 @@ type fwdServer struct{ pool *Pool }
 
 func (s fwdServer) FwdGetCounters() (xif.FwdCounters, error) {
 	c := s.pool.Counters()
-	s.pool.Scrape() // every scrape also lands in the fwd_counters point
 	return xif.FwdCounters{
 		Workers:   uint32(s.pool.Workers()),
 		Lookups:   c.Lookups,

@@ -4,11 +4,9 @@ import (
 	"net/netip"
 	"sync"
 	"testing"
-	"testing/quick"
 )
 
-func mustA(s string) netip.Addr   { return netip.MustParseAddr(s) }
-func mustP(s string) netip.Prefix { return netip.MustParsePrefix(s) }
+func mustA(s string) netip.Addr { return netip.MustParseAddr(s) }
 
 func TestNetworkDelivery(t *testing.T) {
 	n := NewNetwork()
@@ -213,128 +211,5 @@ func TestNetworkPayloadIsolation(t *testing.T) {
 	defer mu.Unlock()
 	if string(rec) != "aaaa" {
 		t.Fatalf("receiver saw mutated payload %q", rec)
-	}
-}
-
-func TestQuickFIBMatchesModel(t *testing.T) {
-	f := func(ops []uint32) bool {
-		fib := NewFIB()
-		model := map[netip.Prefix]FIBEntry{}
-		for _, op := range ops {
-			bits := int(op>>24) % 25
-			a := netip.AddrFrom4([4]byte{byte(op), byte(op >> 8), 0, 0})
-			p, err := a.Prefix(bits)
-			if err != nil {
-				continue
-			}
-			e := FIBEntry{Net: p, NextHop: mustA("10.0.0.254"), IfName: "eth0"}
-			if op%3 == 0 {
-				fib.Remove(p)
-				delete(model, p)
-			} else {
-				fib.Install(e)
-				model[p] = e
-			}
-		}
-		if fib.Len() != len(model) {
-			return false
-		}
-		for p := range model {
-			probe := p.Addr()
-			e, ok := fib.Lookup(probe)
-			if !ok {
-				return false
-			}
-			// The answer must cover the probe and be at least as
-			// specific as p.
-			if !e.Net.Contains(probe) || e.Net.Bits() < p.Bits() && e.Net != p {
-				_ = e
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFIBInstallObserver(t *testing.T) {
-	fib := NewFIB()
-	var seen []netip.Prefix
-	fib.SetInstallObserver(func(e FIBEntry) { seen = append(seen, e.Net) })
-	fib.Install(FIBEntry{Net: mustP("10.0.0.0/8")})
-	fib.SetInstallObserver(nil)
-	fib.Install(FIBEntry{Net: mustP("11.0.0.0/8")})
-	if len(seen) != 1 || seen[0] != mustP("10.0.0.0/8") {
-		t.Fatalf("observer saw %v", seen)
-	}
-}
-
-// TestFIBObserverRunsOutsideLock pins the install-observer invariant:
-// callbacks fire with the FIB mutex released, so an observer may
-// reenter the FIB. If Install or ApplyBatch ever invoked the callback
-// under f.mu, the reentrant Lookup/Len calls here would deadlock (and
-// the test would time out).
-func TestFIBObserverRunsOutsideLock(t *testing.T) {
-	fib := NewFIB()
-	var seen []netip.Prefix
-	fib.SetInstallObserver(func(e FIBEntry) {
-		// Reentrant reads: legal only because the lock is not held.
-		if _, ok := fib.Lookup(e.Net.Addr()); !ok {
-			t.Errorf("observer: %v not visible at callback time", e.Net)
-		}
-		if fib.Len() == 0 {
-			t.Error("observer: empty FIB at callback time")
-		}
-		seen = append(seen, e.Net)
-	})
-
-	if err := fib.Install(FIBEntry{Net: mustP("10.0.0.0/8")}); err != nil {
-		t.Fatal(err)
-	}
-	err := fib.ApplyBatch([]FIBEntry{
-		{Net: mustP("10.1.0.0/16")},
-		{Net: mustP("10.2.0.0/16")},
-	}, []netip.Prefix{mustP("10.0.0.0/8")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 3 {
-		t.Fatalf("observer saw %d installs, want 3: %v", len(seen), seen)
-	}
-	if n := fib.Len(); n != 2 {
-		t.Fatalf("Len = %d, want 2 after batch add+remove", n)
-	}
-}
-
-// TestFIBApplyBatch covers the batch path's semantics: one call
-// installs and removes atomically with respect to concurrent readers,
-// counts installs/removals, and reports (without aborting on) invalid
-// entries.
-func TestFIBApplyBatch(t *testing.T) {
-	fib := NewFIB()
-	fib.Install(FIBEntry{Net: mustP("192.168.0.0/16")})
-
-	err := fib.ApplyBatch([]FIBEntry{
-		{Net: mustP("10.0.0.0/8"), NextHop: mustA("192.168.1.1")},
-		{}, // invalid: must be reported but not abort the rest
-		{Net: mustP("10.1.0.0/16")},
-	}, []netip.Prefix{mustP("192.168.0.0/16"), mustP("172.16.0.0/12") /* absent */})
-	if err == nil {
-		t.Fatal("invalid entry not reported")
-	}
-	if n := fib.Len(); n != 2 {
-		t.Fatalf("Len = %d, want 2", n)
-	}
-	if _, ok := fib.Lookup(mustA("192.168.1.1")); ok {
-		t.Fatal("removed prefix still resolves")
-	}
-	e, ok := fib.Lookup(mustA("10.1.2.3"))
-	if !ok || e.Net != mustP("10.1.0.0/16") {
-		t.Fatalf("Lookup(10.1.2.3) = %v, %v", e, ok)
-	}
-	installs, removals := fib.Stats()
-	if installs != 3 || removals != 1 {
-		t.Fatalf("stats = %d/%d, want 3 installs, 1 removal", installs, removals)
 	}
 }

@@ -218,7 +218,7 @@ func newOSPFNode(t *testing.T, loop *eventloop.Loop, netw *kernel.Network, addr 
 	if err != nil {
 		t.Fatal(err)
 	}
-	feaProc := fea.New(loop, kernel.NewFIB(), host, nil)
+	feaProc := fea.New(loop, host, nil)
 	rib := &ribRec{routes: make(map[netip.Prefix]route.Entry)}
 	tr := &FEATransport{
 		BindFn: func(group netip.Addr, port uint16, recv func(src netip.AddrPort, payload []byte)) error {

@@ -310,9 +310,6 @@ func (p *Process) RedistAdd(e route.Entry) {
 // RedistDelete implements rib.Redistributor.
 func (p *Process) RedistDelete(e route.Entry) { p.WithdrawPrefix(e.Net) }
 
-// RouteCount returns the number of routes OSPF currently has in the RIB.
-func (p *Process) RouteCount() int { return len(p.installed) }
-
 // Lookup returns OSPF's installed route for net (tests).
 func (p *Process) Lookup(net netip.Prefix) (route.Entry, bool) {
 	e, ok := p.installed[net.Masked()]

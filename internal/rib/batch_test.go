@@ -12,23 +12,24 @@ import (
 )
 
 // streamRec records the exact downstream Add/Replace/Delete stream a
-// FIBClient sees. It deliberately implements only FIBClient (not
-// FIBBatchClient), so batch shipments fall back to per-op delivery and
-// the recorded stream is directly comparable to the single-route path.
+// FIBClient sees, flattening each shipped batch into its ops, so the
+// batch path's stream is directly comparable to the single-route path's
+// batches of one.
 type streamRec struct {
 	ops []string
 }
 
-func (r *streamRec) FIBAdd(e route.Entry) {
-	r.ops = append(r.ops, fmt.Sprintf("add %v %v %s %d %v", e.Net, e.NextHop, e.IfName, e.Metric, e.Protocol))
-}
-
-func (r *streamRec) FIBReplace(old, new route.Entry) {
-	r.ops = append(r.ops, fmt.Sprintf("replace %v->%v %v %s %d %v", old.NextHop, new.NextHop, new.Net, new.IfName, new.Metric, new.Protocol))
-}
-
-func (r *streamRec) FIBDelete(e route.Entry) {
-	r.ops = append(r.ops, fmt.Sprintf("delete %v %v", e.Net, e.Protocol))
+func (r *streamRec) FIBApplyBatch(b *FIBBatch) {
+	b.Ops(func(op FIBOp) {
+		switch e := op.New; op.Kind {
+		case FIBOpAdd:
+			r.ops = append(r.ops, fmt.Sprintf("add %v %v %s %d %v", e.Net, e.NextHop, e.IfName, e.Metric, e.Protocol))
+		case FIBOpReplace:
+			r.ops = append(r.ops, fmt.Sprintf("replace %v->%v %v %s %d %v", op.Old.NextHop, e.NextHop, e.Net, e.IfName, e.Metric, e.Protocol))
+		case FIBOpDelete:
+			r.ops = append(r.ops, fmt.Sprintf("delete %v %v", op.Old.Net, op.Old.Protocol))
+		}
+	})
 }
 
 // batchOp is one scripted operation for the equivalence tests.

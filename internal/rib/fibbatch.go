@@ -10,7 +10,7 @@ import (
 type FIBOpKind uint8
 
 // The FIB operation kinds. fibOpNone marks an op that folded away (an add
-// cancelled by a later delete); Apply and Ops skip it.
+// cancelled by a later delete); Ops skips it.
 const (
 	fibOpNone FIBOpKind = iota
 	FIBOpAdd
@@ -49,10 +49,15 @@ func NewFIBBatch() *FIBBatch {
 	return &FIBBatch{idx: make(map[netip.Prefix]int)}
 }
 
-// Reset empties the batch for reuse.
+// Reset empties the batch for reuse. It deletes only the prefixes the
+// batch touched, so its cost follows the last batch's size, not the
+// largest batch the index map ever held: a batch of one after a
+// full-table run stays cheap.
 func (b *FIBBatch) Reset() {
+	for i := range b.ops {
+		delete(b.idx, b.ops[i].Net())
+	}
 	b.ops = b.ops[:0]
-	clear(b.idx)
 }
 
 // Len reports the number of live (non-cancelled) operations.
@@ -116,8 +121,9 @@ func (b *FIBBatch) Delete(e route.Entry) {
 	}
 	switch b.ops[i].Kind {
 	case FIBOpAdd:
-		// add+delete within the batch: net zero.
-		b.ops[i] = FIBOp{Kind: fibOpNone}
+		// add+delete within the batch: net zero. The prefix stays on
+		// the op so Reset can drop its index entry.
+		b.ops[i] = FIBOp{Kind: fibOpNone, New: route.Entry{Net: e.Net}}
 	case FIBOpReplace:
 		// replace+delete: the pre-batch entry goes away.
 		b.ops[i] = FIBOp{Kind: FIBOpDelete, Old: b.ops[i].Old}
@@ -138,29 +144,4 @@ func (b *FIBBatch) Ops(fn func(FIBOp)) {
 			fn(b.ops[i])
 		}
 	}
-}
-
-// Apply replays the batch onto a plain FIBClient (the fallback when the
-// client has no batch support of its own).
-func (b *FIBBatch) Apply(c FIBClient) {
-	for i := range b.ops {
-		switch op := b.ops[i]; op.Kind {
-		case FIBOpAdd:
-			c.FIBAdd(op.New)
-		case FIBOpReplace:
-			c.FIBReplace(op.Old, op.New)
-		case FIBOpDelete:
-			c.FIBDelete(op.Old)
-		}
-	}
-}
-
-// FIBBatchClient is optionally implemented by FIBClients that can ship a
-// coalesced update set in one transaction (the FEA applies it to the
-// kernel FIB in one pass; the XRL client ships list-carrying XRLs). The
-// batch is only valid for the duration of the call — implementations must
-// not retain it.
-type FIBBatchClient interface {
-	FIBClient
-	FIBApplyBatch(b *FIBBatch)
 }

@@ -14,12 +14,12 @@ import (
 )
 
 // FIBClient receives the RIB's final forwarding decisions (the "Routes to
-// Forwarding Engine" arrow of Figure 7). The production implementation
-// sends fti XRLs to the FEA.
+// Forwarding Engine" arrow of Figure 7), always as a FIBBatch: a single
+// route ships as a batch of one. The production implementation sends
+// fti XRLs to the FEA. The batch is only valid for the duration of the
+// call; implementations must not retain it.
 type FIBClient interface {
-	FIBAdd(e route.Entry)
-	FIBReplace(old, new route.Entry)
-	FIBDelete(e route.Entry)
+	FIBApplyBatch(b *FIBBatch)
 }
 
 // Process is the XORP RIB process: the stage network of Figure 7 plus the
@@ -33,7 +33,6 @@ type Process struct {
 	redists  map[string]*RedistStage
 	chain    []Stage // extint ... redists ... register, fibSink
 	fib      FIBClient
-	fibSink  *fibSinkStage
 
 	router *xipc.Router         // for invalidation pushes; may be nil
 	notify *xif.RIBNotifyClient // rib_client/0.1 stub over router
@@ -94,8 +93,7 @@ func NewProcess(loop *eventloop.Loop, fib FIBClient, router *xipc.Router) *Proce
 
 	p.extint = NewExtIntStage("extint", mb, m3)
 	p.register = NewRegisterStage("register", p.notifyInvalid)
-	fibSink := &fibSinkStage{base: base{name: "fib"}, proc: p}
-	p.fibSink = fibSink
+	fibSink := &fibSinkStage{base: base{name: "fib"}, proc: p, batch: NewFIBBatch()}
 	p.chain = []Stage{p.extint, p.register, fibSink}
 	Plumb(p.chain...)
 
@@ -128,25 +126,6 @@ func NewProcess(loop *eventloop.Loop, fib FIBClient, router *xipc.Router) *Proce
 
 // Loop returns the process event loop.
 func (p *Process) Loop() *eventloop.Loop { return p.loop }
-
-// SetFIBCoalesce enables FIB-push coalescing: pushes fold into one
-// pending FIBBatch that flushes at the event loop's drain boundary
-// (window 0) or after window (window > 0) — added install latency
-// bounded by the knob, in exchange for cross-XRL churn reaching the
-// forwarding plane as one transaction. Call from the loop (or before it
-// runs); a negative window disables coalescing again after flushing
-// anything pending.
-func (p *Process) SetFIBCoalesce(window time.Duration) {
-	s := p.fibSink
-	if window < 0 {
-		s.flush()
-		s.coalesce = false
-		s.window = 0
-		return
-	}
-	s.coalesce = true
-	s.window = window
-}
 
 // Profiler returns the process profiler.
 func (p *Process) Profiler() *profiler.Profiler { return p.prof }
@@ -356,191 +335,76 @@ func (p *Process) notifyInvalid(client string, covering netip.Prefix) {
 }
 
 // fibSinkStage hands final routes to the FIB client with the §8.2
-// profile points. Disabled points are checked before formatting so the
-// hot path never pays variadic boxing; batch runs ship to batch-capable
-// clients as one coalesced FIBBatch.
-//
-// With coalescing enabled (SetFIBCoalesce), individual pushes fold into
-// a pending FIBBatch instead of shipping immediately; the batch flushes
-// once the event loop drains its current work (window 0) or a latency
-// window expires (window > 0). Churn that spans several XRL deliveries —
-// a withdraw and its replacement arriving as separate events — then
-// reaches the forwarding plane as one transaction and one snapshot
-// publish, at the price of that much added install latency.
+// profile points. Every emission ships through one reused FIBBatch: a
+// run as one batch, a single route as a batch of one. Disabled points
+// are checked before formatting so the hot path never pays variadic
+// boxing.
 type fibSinkStage struct {
 	base
 	proc  *Process
-	batch *FIBBatch // reused across batch shipments
-
-	coalesce   bool
-	window     time.Duration
-	pending    *FIBBatch // folds pushes between flushes; reused
-	flushArmed bool
+	batch *FIBBatch // reused across shipments
 }
 
 func (s *fibSinkStage) Add(e route.Entry) {
-	p := s.proc
-	if p.profQueue.Enabled() {
-		p.profQueue.Logf("add %v", e.Net)
-	}
-	if p.fib == nil {
-		return
-	}
-	if s.coalesce {
-		s.queue(func(b *FIBBatch) { b.Add(e) })
-		return
-	}
-	if p.profSent.Enabled() {
-		p.profSent.Logf("add %v", e.Net)
-	}
-	p.fib.FIBAdd(e)
+	s.ship(func(b *FIBBatch) { b.Add(e) })
 }
 
 func (s *fibSinkStage) Replace(old, new route.Entry) {
-	p := s.proc
-	if p.profQueue.Enabled() {
-		p.profQueue.Logf("replace %v", new.Net)
-	}
-	if p.fib == nil {
-		return
-	}
-	if s.coalesce {
-		s.queue(func(b *FIBBatch) { b.Replace(old, new) })
-		return
-	}
-	if p.profSent.Enabled() {
-		p.profSent.Logf("replace %v", new.Net)
-	}
-	p.fib.FIBReplace(old, new)
+	s.ship(func(b *FIBBatch) { b.Replace(old, new) })
 }
 
 func (s *fibSinkStage) Delete(e route.Entry) {
-	p := s.proc
-	if p.profQueue.Enabled() {
-		p.profQueue.Logf("delete %v", e.Net)
-	}
-	if p.fib == nil {
-		return
-	}
-	if s.coalesce {
-		s.queue(func(b *FIBBatch) { b.Delete(e) })
-		return
-	}
-	if p.profSent.Enabled() {
-		p.profSent.Logf("delete %v", e.Net)
-	}
-	p.fib.FIBDelete(e)
+	s.ship(func(b *FIBBatch) { b.Delete(e) })
 }
 
-// queue folds one push into the pending batch and arms a flush: at the
-// loop's drain boundary (window 0, via Dispatch — runs after every
-// event already queued, so a churn burst folds completely) or after the
-// latency window.
-func (s *fibSinkStage) queue(record func(*FIBBatch)) {
-	if s.pending == nil {
-		s.pending = NewFIBBatch()
-	}
-	record(s.pending)
-	if s.flushArmed {
-		return
-	}
-	s.flushArmed = true
-	if s.window > 0 {
-		s.proc.loop.OneShot(s.window, s.flush)
-	} else {
-		s.proc.loop.Dispatch(s.flush)
-	}
-}
-
-// flush ships the pending batch. Runs on the loop.
-func (s *fibSinkStage) flush() {
-	s.flushArmed = false
-	b := s.pending
-	if b == nil || b.Len() == 0 {
-		return
-	}
-	p := s.proc
-	if p.profSent.Enabled() {
-		b.Ops(func(op FIBOp) {
-			switch op.Kind {
-			case FIBOpAdd:
-				p.profSent.Logf("add %v", op.New.Net)
-			case FIBOpReplace:
-				p.profSent.Logf("replace %v", op.New.Net)
-			case FIBOpDelete:
-				p.profSent.Logf("delete %v", op.Old.Net)
-			}
-		})
-	}
-	if bc, ok := p.fib.(FIBBatchClient); ok {
-		bc.FIBApplyBatch(b)
-	} else {
-		b.Ops(func(op FIBOp) {
-			switch op.Kind {
-			case FIBOpAdd:
-				p.fib.FIBAdd(op.New)
-			case FIBOpReplace:
-				p.fib.FIBReplace(op.Old, op.New)
-			case FIBOpDelete:
-				p.fib.FIBDelete(op.Old)
-			}
-		})
-	}
-	b.Reset()
-}
-
-// AddBatch ships a run of Adds in one coalesced FIB transaction when the
-// client supports it.
+// AddBatch ships a run of Adds as one FIB transaction.
 func (s *fibSinkStage) AddBatch(es []route.Entry) {
-	s.shipBatch(es, "add", func(b *FIBBatch, e route.Entry) { b.Add(e) },
-		func(c FIBClient, e route.Entry) { c.FIBAdd(e) })
-}
-
-// DeleteBatch ships a run of Deletes in one coalesced FIB transaction.
-func (s *fibSinkStage) DeleteBatch(es []route.Entry) {
-	s.shipBatch(es, "delete", func(b *FIBBatch, e route.Entry) { b.Delete(e) },
-		func(c FIBClient, e route.Entry) { c.FIBDelete(e) })
-}
-
-func (s *fibSinkStage) shipBatch(es []route.Entry, verb string,
-	record func(*FIBBatch, route.Entry), single func(FIBClient, route.Entry)) {
-	p := s.proc
-	if p.profQueue.Enabled() {
+	s.ship(func(b *FIBBatch) {
 		for i := range es {
-			p.profQueue.Logf("%s %v", verb, es[i].Net)
+			b.Add(es[i])
 		}
-	}
+	})
+}
+
+// DeleteBatch ships a run of Deletes as one FIB transaction.
+func (s *fibSinkStage) DeleteBatch(es []route.Entry) {
+	s.ship(func(b *FIBBatch) {
+		for i := range es {
+			b.Delete(es[i])
+		}
+	})
+}
+
+// ship records one emission into the reused batch and hands it to the
+// FIB client.
+func (s *fibSinkStage) ship(record func(*FIBBatch)) {
+	p := s.proc
+	b := s.batch
+	b.Reset()
+	record(b)
+	logOps(p.profQueue, b)
 	if p.fib == nil {
 		return
 	}
-	if s.coalesce {
-		s.queue(func(b *FIBBatch) {
-			for i := range es {
-				record(b, es[i])
-			}
-		})
+	logOps(p.profSent, b)
+	p.fib.FIBApplyBatch(b)
+}
+
+// logOps records one profile entry per op of b when pt is enabled.
+func logOps(pt *profiler.Point, b *FIBBatch) {
+	if !pt.Enabled() {
 		return
 	}
-	if p.profSent.Enabled() {
-		for i := range es {
-			p.profSent.Logf("%s %v", verb, es[i].Net)
+	b.Ops(func(op FIBOp) {
+		switch op.Kind {
+		case FIBOpAdd:
+			pt.Logf("add %v", op.New.Net)
+		case FIBOpReplace:
+			pt.Logf("replace %v", op.New.Net)
+		case FIBOpDelete:
+			pt.Logf("delete %v", op.Old.Net)
 		}
-	}
-	if bc, ok := p.fib.(FIBBatchClient); ok {
-		if s.batch == nil {
-			s.batch = NewFIBBatch()
-		} else {
-			s.batch.Reset()
-		}
-		for i := range es {
-			record(s.batch, es[i])
-		}
-		bc.FIBApplyBatch(s.batch)
-		return
-	}
-	for i := range es {
-		single(p.fib, es[i])
-	}
+	})
 }
 
 func (s *fibSinkStage) Lookup(netip.Prefix) (route.Entry, bool)   { return route.Entry{}, false }

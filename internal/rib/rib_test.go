@@ -21,16 +21,20 @@ type fibRec struct {
 
 func newFibRec() *fibRec { return &fibRec{tbl: make(map[netip.Prefix]route.Entry)} }
 
-func (f *fibRec) FIBAdd(e route.Entry) {
-	f.tbl[e.Net] = e
-	f.adds++
-}
-
-func (f *fibRec) FIBReplace(old, new route.Entry) { f.tbl[new.Net] = new }
-
-func (f *fibRec) FIBDelete(e route.Entry) {
-	delete(f.tbl, e.Net)
-	f.dels++
+// FIBApplyBatch implements FIBClient, replaying the batch op by op.
+func (f *fibRec) FIBApplyBatch(b *FIBBatch) {
+	b.Ops(func(op FIBOp) {
+		switch op.Kind {
+		case FIBOpAdd:
+			f.tbl[op.New.Net] = op.New
+			f.adds++
+		case FIBOpReplace:
+			f.tbl[op.New.Net] = op.New
+		case FIBOpDelete:
+			delete(f.tbl, op.Old.Net)
+			f.dels++
+		}
+	})
 }
 
 func newRib(t *testing.T) (*Process, *fibRec, *eventloop.Loop) {

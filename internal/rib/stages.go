@@ -235,9 +235,6 @@ func NewOriginTable(loop *eventloop.Loop, proto route.Protocol) *OriginTable {
 	}
 }
 
-// SetAdminDistance overrides the table's administrative distance.
-func (o *OriginTable) SetAdminDistance(ad uint8) { o.ad = ad }
-
 // SetBatchGate installs the batch-safety predicate (see batchGate).
 func (o *OriginTable) SetBatchGate(gate func() bool) { o.batchGate = gate }
 

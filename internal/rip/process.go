@@ -151,18 +151,6 @@ func (p *Process) Stop() {
 	}
 }
 
-// RouteCount returns the number of live (non-GC) routes.
-func (p *Process) RouteCount() int {
-	n := 0
-	p.routes.Walk(func(_ netip.Prefix, r *ripRoute) bool {
-		if !r.deleted {
-			n++
-		}
-		return true
-	})
-	return n
-}
-
 // InjectLocal originates a route (connected networks, redistribution).
 func (p *Process) InjectLocal(net netip.Prefix, metric uint32, tag uint16) {
 	net = net.Masked()

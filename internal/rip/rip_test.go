@@ -10,6 +10,8 @@ import (
 	"xorp/internal/fea"
 	"xorp/internal/kernel"
 	"xorp/internal/route"
+	"xorp/internal/xif"
+	"xorp/internal/xipc"
 )
 
 func mustP(s string) netip.Prefix { return netip.MustParsePrefix(s) }
@@ -105,8 +107,7 @@ func newRIPNode(t *testing.T, loop *eventloop.Loop, netw *kernel.Network, addr s
 	if err != nil {
 		t.Fatal(err)
 	}
-	fib := kernel.NewFIB()
-	feaProc := fea.New(loop, fib, host, nil)
+	feaProc := fea.New(loop, host, nil)
 	rib := &ribRec{routes: make(map[netip.Prefix]route.Entry)}
 	tr := &FEATransport{
 		BindFn: func(port uint16, recv func(src netip.AddrPort, payload []byte)) error {
@@ -286,13 +287,33 @@ func TestLossyNetworkEventuallyConverges(t *testing.T) {
 	}
 }
 
+// TestKernelFIB checks the forwarding table RIP's routes end up in: the
+// FEA's published snapshot, written through the fti batch interface.
 func TestKernelFIB(t *testing.T) {
-	fib := kernel.NewFIB()
-	fib.AddInterface("eth0", mustP("10.0.0.1/24"), 1500)
-	if err := fib.Install(kernel.FIBEntry{Net: mustP("10.1.0.0/16"), NextHop: mustA("10.0.0.254"), IfName: "eth0"}); err != nil {
+	loop := eventloop.New(eventloop.NewSimClock(time.Unix(0, 0)))
+	router := xipc.NewRouter("fea_process", loop)
+	feaProc := fea.New(loop, nil, router)
+	feaProc.AddInterface("eth0", mustP("10.0.0.1/24"), 1500)
+	target := xipc.NewTarget("fea", "fea")
+	feaProc.RegisterXRLs(target)
+	router.AddTarget(target)
+	fti := xif.NewFTIClient(router, "fea")
+	call := func(send func(done func(error))) error {
+		var err error
+		send(func(e error) { err = e })
+		loop.RunPending()
+		return err
+	}
+
+	if err := call(func(done func(error)) {
+		fti.AddEntries4([]route.Entry{
+			{Net: mustP("10.1.0.0/16"), NextHop: mustA("10.0.0.254"), IfName: "eth0"},
+			{Net: mustP("10.1.2.0/24"), NextHop: mustA("10.0.0.253"), IfName: "eth0"},
+		}, done)
+	}); err != nil {
 		t.Fatal(err)
 	}
-	fib.Install(kernel.FIBEntry{Net: mustP("10.1.2.0/24"), NextHop: mustA("10.0.0.253"), IfName: "eth0"})
+	fib := feaProc.Snapshots().Current()
 	e, ok := fib.Lookup(mustA("10.1.2.3"))
 	if !ok || e.NextHop != mustA("10.0.0.253") {
 		t.Fatalf("LPM %v %v", e, ok)
@@ -301,25 +322,22 @@ func TestKernelFIB(t *testing.T) {
 	if !ok || e.NextHop != mustA("10.0.0.254") {
 		t.Fatalf("fallback %v %v", e, ok)
 	}
-	if !fib.Remove(mustP("10.1.2.0/24")) {
-		t.Fatal("remove failed")
+	if err := call(func(done func(error)) { fti.DeleteEntry4(mustP("10.1.2.0/24"), done) }); err != nil {
+		t.Fatalf("remove failed: %v", err)
 	}
-	if fib.Remove(mustP("10.1.2.0/24")) {
+	if err := call(func(done func(error)) { fti.DeleteEntry4(mustP("10.1.2.0/24"), done) }); err == nil {
 		t.Fatal("double remove succeeded")
 	}
-	ins, rem := fib.Stats()
-	if ins != 2 || rem != 1 {
-		t.Fatalf("stats %d/%d", ins, rem)
-	}
-	if err := fib.Install(kernel.FIBEntry{}); err == nil {
-		t.Fatal("invalid entry installed")
-	}
-	if len(fib.Interfaces()) != 1 {
+	if len(feaProc.Interfaces()) != 1 {
 		t.Fatal("interface lost")
 	}
+	fib = feaProc.Snapshots().Current()
 	count := 0
-	fib.Walk(func(kernel.FIBEntry) bool { count++; return true })
-	if count != fib.Len() {
-		t.Fatalf("walk %d != len %d", count, fib.Len())
+	fib.Walk(func(route.Entry) bool { count++; return true })
+	if count != fib.Len() || count != 1 {
+		t.Fatalf("walk %d, len %d, want 1", count, fib.Len())
+	}
+	if got, _ := feaProc.Metrics().Get("fea_fib_writes_total"); got != 3 {
+		t.Fatalf("fea_fib_writes_total = %v, want 3", got)
 	}
 }

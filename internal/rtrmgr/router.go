@@ -48,7 +48,6 @@ type Router struct {
 	Config *Node
 	Hub    *xipc.Hub
 	Finder *finder.Finder
-	FIB    *kernel.FIB
 	FEA    *fea.Process
 	RIB    *rib.Process
 	BGP    *bgp.Process
@@ -94,15 +93,14 @@ type Router struct {
 	// Transactional reload state (txn.go). txMu guards all of it, plus
 	// Config and generation once the router is live: the coordinator
 	// swaps the running config only after a full two-phase commit.
-	txMu        sync.Mutex
-	generation  uint32 // bumped on every committed reload
-	txSeq       uint32 // transaction id allocator
-	txOpen      uint32 // open transaction id (0 = none)
-	txParts     map[string]bool
-	txPoison    string // set when a participant dies mid-transaction
-	txDeadline  time.Duration
-	txHooks     TxHooks
-	configLoop  *eventloop.Loop
+	txMu         sync.Mutex
+	generation   uint32 // bumped on every committed reload
+	txSeq        uint32 // transaction id allocator
+	txOpen       uint32 // open transaction id (0 = none)
+	txParts      map[string]bool
+	txPoison     string // set when a participant dies mid-transaction
+	txHooks      TxHooks
+	configLoop   *eventloop.Loop
 	configRouter *xipc.Router
 }
 
@@ -221,7 +219,7 @@ func NewRouter(cfgText string, opts Options) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Router{Config: cfg, Hub: xipc.NewHub(), FIB: kernel.NewFIB(), opts: opts, generation: 1}
+	r := &Router{Config: cfg, Hub: xipc.NewHub(), opts: opts, generation: 1}
 
 	// Finder process.
 	r.Finder = finder.New(r.loopFor())
@@ -238,7 +236,7 @@ func NewRouter(cfgText string, opts Options) (*Router, error) {
 			return nil, err
 		}
 	}
-	r.FEA = fea.New(feaLoop, r.FIB, host, r.FEARouter)
+	r.FEA = fea.New(feaLoop, host, r.FEARouter)
 	feaTarget := xif.NewTarget("fea", "fea")
 	r.FEA.RegisterXRLs(feaTarget)
 	xif.BindConfig(feaTarget, &txAgent{r: r, class: "fea", loop: feaLoop})
@@ -283,7 +281,7 @@ func NewRouter(cfgText string, opts Options) (*Router, error) {
 					return nil, err
 				}
 			}
-			r.FIB.AddInterface(ifn.Key, pfx, mtu)
+			r.FEA.AddInterface(ifn.Key, pfx, mtu)
 			entry := route.Entry{Net: pfx.Masked(), IfName: ifn.Key}
 			r.syncDo(ribLoop, func() { r.RIB.AddRoute(route.ProtoConnected, entry) })
 		}
@@ -787,7 +785,7 @@ func (r *Router) Start() error {
 		}
 	}
 	if ospfProc := r.OSPF; ospfProc != nil {
-		ifaces := r.FIB.Interfaces()
+		ifaces := r.FEA.Interfaces()
 		var err error
 		r.syncDo(r.ospfLoop, func() {
 			if err = ospfProc.Start(); err != nil {

@@ -98,7 +98,7 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 
 func TestFullRouterBGPToKernel(t *testing.T) {
 	// The Figures 10–12 pipeline end to end: UPDATE into BGP →
-	// decision → RIB (XRL) → FEA (XRL) → kernel FIB.
+	// decision → RIB (XRL) → FEA (XRL) → FIB snapshot.
 	r, err := NewRouter(baseConfig, Options{ConsistencyChecks: true})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestFullRouterBGPToKernel(t *testing.T) {
 
 	// Static + connected routes reach the FIB.
 	waitCond(t, "static route in FIB", func() bool {
-		_, ok := r.FIB.Lookup(mustA("10.1.2.3"))
+		_, ok := r.FEA.Snapshots().Current().Lookup(mustA("10.1.2.3"))
 		return ok
 	})
 
@@ -122,7 +122,7 @@ func TestFullRouterBGPToKernel(t *testing.T) {
 	}
 	r.BGP.Loop().Dispatch(func() { r.BGP.InjectUpdate("p1", u) })
 	waitCond(t, "BGP route in FIB", func() bool {
-		e, ok := r.FIB.Lookup(mustA("20.1.2.3"))
+		e, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.1.2.3"))
 		return ok && e.Net == net1
 	})
 
@@ -130,7 +130,7 @@ func TestFullRouterBGPToKernel(t *testing.T) {
 	w := &bgp.UpdateMsg{Withdrawn: []netip.Prefix{net1}}
 	r.BGP.Loop().Dispatch(func() { r.BGP.InjectUpdate("p1", w) })
 	waitCond(t, "BGP route withdrawn from FIB", func() bool {
-		e, ok := r.FIB.Lookup(mustA("20.1.2.3"))
+		e, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.1.2.3"))
 		return !ok || e.Net != net1
 	})
 
@@ -171,7 +171,7 @@ func TestFullRouterDecisionAcrossPeers(t *testing.T) {
 		r.BGP.InjectUpdate("p2", &bgp.UpdateMsg{Attrs: short, NLRI: []netip.Prefix{net1}})
 	})
 	waitCond(t, "short path in FIB", func() bool {
-		e, ok := r.FIB.Lookup(mustA("20.2.0.1"))
+		e, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.2.0.1"))
 		return ok && e.Net == net1 && e.NextHop == mustA("192.168.1.253")
 	})
 }
@@ -195,7 +195,7 @@ func TestNexthopUnresolvableBlocksRoute(t *testing.T) {
 		})
 	})
 	time.Sleep(200 * time.Millisecond)
-	if e, ok := r.FIB.Lookup(mustA("20.3.0.1")); ok && e.Net == net1 {
+	if e, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.3.0.1")); ok && e.Net == net1 {
 		t.Fatal("unresolvable route reached the FIB")
 	}
 
@@ -208,7 +208,7 @@ func TestNexthopUnresolvableBlocksRoute(t *testing.T) {
 		})
 	})
 	waitCond(t, "parked route resolves after IGP change", func() bool {
-		e, ok := r.FIB.Lookup(mustA("20.3.0.1"))
+		e, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.3.0.1"))
 		return ok && e.Net == net1
 	})
 }
@@ -293,7 +293,7 @@ func TestRedistributionStaticToBGP(t *testing.T) {
 			// have originated it (local branch holds it).
 			n = 1
 		})
-		_, ok := r.FIB.Lookup(mustA("44.1.1.1"))
+		_, ok := r.FEA.Snapshots().Current().Lookup(mustA("44.1.1.1"))
 		return ok && n == 1
 	})
 }
@@ -322,7 +322,7 @@ protocols { rip { } }
 	// a originates a RIP route; b must install it via RIP → RIB → FEA.
 	a.RIP.RedistAdd(route.Entry{Net: mustP("172.30.0.0/16")})
 	waitCond(t, "RIP route in b's FIB", func() bool {
-		e, ok := b.FIB.Lookup(mustA("172.30.1.1"))
+		e, ok := b.FEA.Snapshots().Current().Lookup(mustA("172.30.1.1"))
 		return ok && e.Net == mustP("172.30.0.0/16")
 	})
 }
@@ -330,7 +330,7 @@ protocols { rip { } }
 func TestOSPFInAssembly(t *testing.T) {
 	// Two full routers speaking OSPF over the simulated fabric:
 	// connected prefixes and redistributed statics flow OSPF → RIB →
-	// FEA → kernel FIB, with an export policy tagging routes on the
+	// FEA → FIB snapshot, with an export policy tagging routes on the
 	// receiving side.
 	netw := kernel.NewNetwork()
 	a, err := NewRouter(`
@@ -362,9 +362,9 @@ policy tag-ospf { term all { then set tag add 42 } }
 	}
 
 	// The redistributed static must traverse a's RIB → OSPF flooding →
-	// b's SPF → b's RIB → b's FEA → b's kernel FIB.
+	// b's SPF → b's RIB → b's FEA → b's FIB snapshot.
 	waitCond(t, "OSPF route in b's FIB", func() bool {
-		e, ok := b.FIB.Lookup(mustA("172.31.1.1"))
+		e, ok := b.FEA.Snapshots().Current().Lookup(mustA("172.31.1.1"))
 		return ok && e.Net == mustP("172.31.0.0/16") && e.NextHop == mustA("192.168.1.1")
 	})
 	// b's RIB carries it as an OSPF route (admin distance 110) with the
@@ -406,7 +406,7 @@ func TestDampingInAssembly(t *testing.T) {
 		r.BGP.InjectUpdate("p1", &bgp.UpdateMsg{Attrs: attrs, NLRI: []netip.Prefix{stable}})
 	})
 	waitCond(t, "stable route installed", func() bool {
-		e, ok := r.FIB.Lookup(mustA("20.7.0.1"))
+		e, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.7.0.1"))
 		return ok && e.Net == stable
 	})
 	// Flap hard: 3 announce/withdraw cycles exceed the suppress threshold.
@@ -419,11 +419,11 @@ func TestDampingInAssembly(t *testing.T) {
 	})
 	// The final announcement is suppressed: it must NOT reach the FIB.
 	time.Sleep(300 * time.Millisecond)
-	if e, ok := r.FIB.Lookup(mustA("20.8.0.1")); ok && e.Net == flappy {
+	if e, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.8.0.1")); ok && e.Net == flappy {
 		t.Fatal("flapping route reached the FIB despite damping")
 	}
 	// The stable route is unaffected.
-	if e, ok := r.FIB.Lookup(mustA("20.7.0.1")); !ok || e.Net != stable {
+	if e, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.7.0.1")); !ok || e.Net != stable {
 		t.Fatal("stable route lost")
 	}
 }

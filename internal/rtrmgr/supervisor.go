@@ -453,7 +453,7 @@ func (r *Router) startOSPFInLoop() error {
 	if err := p.Start(); err != nil {
 		return err
 	}
-	for _, ifc := range r.FIB.Interfaces() {
+	for _, ifc := range r.FEA.Interfaces() {
 		p.OriginatePrefix(ifc.Addr.Masked(), 1)
 	}
 	return nil

@@ -56,7 +56,7 @@ func TestSupervisorRespawnsKilledBGP(t *testing.T) {
 	old := r.CurrentBGP()
 	old.Loop().Dispatch(func() { old.InjectUpdate("p1", u) })
 	waitCond(t, "BGP route in FIB", func() bool {
-		e, ok := r.FIB.Lookup(mustA("20.1.2.3"))
+		e, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.1.2.3"))
 		return ok && e.Net == net1
 	})
 
@@ -68,7 +68,7 @@ func TestSupervisorRespawnsKilledBGP(t *testing.T) {
 	waitCond(t, "route marked stale after death", func() bool {
 		return r.staleCount(t, route.ProtoEBGP) == 1
 	})
-	if _, ok := r.FIB.Lookup(mustA("20.1.2.3")); !ok {
+	if _, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.1.2.3")); !ok {
 		t.Fatal("FIB lost the route during the grace window")
 	}
 
@@ -95,7 +95,7 @@ func TestSupervisorRespawnsKilledBGP(t *testing.T) {
 	if swept != 0 {
 		t.Fatalf("resync swept %d routes; re-learned route should have un-staled", swept)
 	}
-	e, ok := r.FIB.Lookup(mustA("20.1.2.3"))
+	e, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.1.2.3"))
 	if !ok || e.Net != net1 {
 		t.Fatalf("FIB after restart: %+v %v", e, ok)
 	}
@@ -187,7 +187,7 @@ protocols { rip { update-interval 1 } }
 	target := mustP("172.30.0.0/16")
 	a.RIP.RedistAdd(route.Entry{Net: target})
 	waitCond(t, "RIP route in b's FIB", func() bool {
-		e, ok := b.FIB.Lookup(mustA("172.30.1.1"))
+		e, ok := b.FEA.Snapshots().Current().Lookup(mustA("172.30.1.1"))
 		return ok && e.Net == target
 	})
 
@@ -195,7 +195,7 @@ protocols { rip { update-interval 1 } }
 	if err := b.KillProcess("rip"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.FIB.Lookup(mustA("172.30.1.1")); !ok {
+	if _, ok := b.FEA.Snapshots().Current().Lookup(mustA("172.30.1.1")); !ok {
 		t.Fatal("FIB lost RIP route during grace window")
 	}
 	waitCond(t, "RIP respawned", func() bool {
@@ -205,7 +205,7 @@ protocols { rip { update-interval 1 } }
 	// The neighbour's next periodic update re-teaches the route, which
 	// un-stales in place.
 	waitCond(t, "RIP route re-learned after respawn", func() bool {
-		e, ok := b.FIB.Lookup(mustA("172.30.1.1"))
+		e, ok := b.FEA.Snapshots().Current().Lookup(mustA("172.30.1.1"))
 		return ok && e.Net == target && b.staleCount(t, route.ProtoRIP) == 0
 	})
 }
@@ -243,7 +243,7 @@ protocols { ospf { hello-interval 1; dead-interval 3; } }
 
 	target := mustP("172.31.0.0/16")
 	waitCond(t, "OSPF route in b's FIB", func() bool {
-		e, ok := b.FIB.Lookup(mustA("172.31.1.1"))
+		e, ok := b.FEA.Snapshots().Current().Lookup(mustA("172.31.1.1"))
 		return ok && e.Net == target
 	})
 
@@ -251,7 +251,7 @@ protocols { ospf { hello-interval 1; dead-interval 3; } }
 	if err := b.KillProcess("ospf"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := b.FIB.Lookup(mustA("172.31.1.1")); !ok {
+	if _, ok := b.FEA.Snapshots().Current().Lookup(mustA("172.31.1.1")); !ok {
 		t.Fatal("FIB lost OSPF route during grace window")
 	}
 	waitCond(t, "OSPF respawned", func() bool {
@@ -262,7 +262,7 @@ protocols { ospf { hello-interval 1; dead-interval 3; } }
 	// notice the restart), flooding re-teaches the route, stale clears.
 	deadline := time.Now().Add(15 * time.Second)
 	for time.Now().Before(deadline) {
-		e, ok := b.FIB.Lookup(mustA("172.31.1.1"))
+		e, ok := b.FEA.Snapshots().Current().Lookup(mustA("172.31.1.1"))
 		if ok && e.Net == target && b.staleCount(t, route.ProtoOSPF) == 0 {
 			return
 		}
@@ -297,7 +297,7 @@ func TestSupervisorSimMode(t *testing.T) {
 	old := r.CurrentBGP()
 	old.Loop().Dispatch(func() { old.InjectUpdate("p1", u) })
 	r.SettleAll()
-	if e, ok := r.FIB.Lookup(mustA("20.1.2.3")); !ok || e.Net != net1 {
+	if e, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.1.2.3")); !ok || e.Net != net1 {
 		t.Fatalf("route not installed: %+v %v", e, ok)
 	}
 
@@ -308,7 +308,7 @@ func TestSupervisorSimMode(t *testing.T) {
 	if n := r.RIB.StaleCount(route.ProtoEBGP); n != 1 {
 		t.Fatalf("stale count after death = %d", n)
 	}
-	if _, ok := r.FIB.Lookup(mustA("20.1.2.3")); !ok {
+	if _, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.1.2.3")); !ok {
 		t.Fatal("FIB lost route during grace window")
 	}
 
@@ -323,7 +323,7 @@ func TestSupervisorSimMode(t *testing.T) {
 	if n := r.RIB.StaleCount(route.ProtoEBGP); n != 0 {
 		t.Fatalf("stale count after re-learn = %d", n)
 	}
-	if e, ok := r.FIB.Lookup(mustA("20.1.2.3")); !ok || e.Net != net1 {
+	if e, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.1.2.3")); !ok || e.Net != net1 {
 		t.Fatalf("route lost after respawn: %+v %v", e, ok)
 	}
 }
@@ -493,7 +493,7 @@ func TestSupervisorRespawnDuringTransactionAborts(t *testing.T) {
 		t.Fatal("aborted reload modified the running config")
 	}
 	r.SettleAll()
-	if e, ok := r.FIB.Lookup(mustA("10.77.1.1")); ok && e.Net == mustP("10.77.0.0/16") {
+	if e, ok := r.FEA.Snapshots().Current().Lookup(mustA("10.77.1.1")); ok && e.Net == mustP("10.77.0.0/16") {
 		t.Fatal("aborted reload leaked the staged static route")
 	}
 
@@ -503,7 +503,7 @@ func TestSupervisorRespawnDuringTransactionAborts(t *testing.T) {
 		t.Fatalf("retry reload: %v", err)
 	}
 	r.SettleAll()
-	if e, ok := r.FIB.Lookup(mustA("10.77.1.1")); !ok || e.Net != mustP("10.77.0.0/16") {
+	if e, ok := r.FEA.Snapshots().Current().Lookup(mustA("10.77.1.1")); !ok || e.Net != mustP("10.77.0.0/16") {
 		t.Fatal("retried reload did not install the new static route")
 	}
 	var havePeer bool

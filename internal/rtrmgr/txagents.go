@@ -31,7 +31,7 @@ type txAgent struct {
 	loop  *eventloop.Loop
 
 	// The owning protocol process, by class (nil for fea/rib agents,
-	// which reach r.FIB / r.RIB directly).
+	// which reach r.FEA / r.RIB directly).
 	bgp  *bgp.Process
 	rip  *rip.Process
 	ospf *ospf.Process
@@ -172,7 +172,7 @@ func (a *txAgent) stageFEA(c Change) ([]txStep, string, error) {
 	return []txStep{{
 		desc: "add interface " + name,
 		apply: func() error {
-			a.r.FIB.AddInterface(name, pfx, mtu)
+			a.r.FEA.AddInterface(name, pfx, mtu)
 			entry := route.Entry{Net: pfx.Masked(), IfName: name}
 			return a.onRIB(func() error {
 				return a.r.RIB.AddRoute(route.ProtoConnected, entry)

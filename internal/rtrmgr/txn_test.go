@@ -12,6 +12,7 @@ import (
 	"xorp/internal/bgp"
 	"xorp/internal/eventloop"
 	"xorp/internal/kernel"
+	"xorp/internal/route"
 	"xorp/internal/workload"
 )
 
@@ -87,7 +88,7 @@ func txDump(t *testing.T, r *Router) string {
 	t.Helper()
 	var fibLines []string
 	var prefixes []netip.Prefix
-	r.FIB.Walk(func(e kernel.FIBEntry) bool {
+	r.FEA.Snapshots().Current().Walk(func(e route.Entry) bool {
 		fibLines = append(fibLines, fmt.Sprintf("fib %v via %v dev %s", e.Net, e.NextHop, e.IfName))
 		prefixes = append(prefixes, e.Net)
 		return true
@@ -122,7 +123,7 @@ func TestReloadCommitInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCond(t, "static routes in FIB", func() bool {
-		_, ok := r.FIB.Lookup(mustA("10.99.1.1"))
+		_, ok := r.FEA.Snapshots().Current().Get(mustP("10.99.0.0/16"))
 		return ok
 	})
 
@@ -131,18 +132,18 @@ func TestReloadCommitInPlace(t *testing.T) {
 	u := &bgp.UpdateMsg{Attrs: workload.TestAttrs(mustA("10.0.0.1"), 65002), NLRI: []netip.Prefix{net1}}
 	r.BGP.Loop().Dispatch(func() { r.BGP.InjectUpdate("p1", u) })
 	waitCond(t, "BGP route in FIB", func() bool {
-		e, ok := r.FIB.Lookup(mustA("20.1.2.3"))
+		e, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.1.2.3"))
 		return ok && e.Net == net1
 	})
 
 	// Unaffected prefixes must see no FIB installs during the reload.
 	var stableOps atomic.Int64
-	r.FIB.SetInstallObserver(func(e kernel.FIBEntry) {
+	r.FEA.SetInstallObserver(func(e route.Entry) {
 		if e.Net == net1 || e.Net == mustP("10.0.0.0/8") {
 			stableOps.Add(1)
 		}
 	})
-	defer r.FIB.SetInstallObserver(nil)
+	defer r.FEA.SetInstallObserver(nil)
 
 	candText := strings.NewReplacer(
 		"route 10.99.0.0/16 next-hop 192.168.1.253;", "route 10.77.0.0/16 next-hop 192.168.1.253;",
@@ -164,14 +165,14 @@ func TestReloadCommitInPlace(t *testing.T) {
 		t.Fatal("peer p3 not created by commit")
 	}
 	waitCond(t, "new static route in FIB", func() bool {
-		e, ok := r.FIB.Lookup(mustA("10.77.1.1"))
+		e, ok := r.FEA.Snapshots().Current().Lookup(mustA("10.77.1.1"))
 		return ok && e.Net == mustP("10.77.0.0/16")
 	})
 	waitCond(t, "old static route removed", func() bool {
-		e, ok := r.FIB.Lookup(mustA("10.99.1.1"))
+		e, ok := r.FEA.Snapshots().Current().Lookup(mustA("10.99.1.1"))
 		return !ok || e.Net != mustP("10.99.0.0/16")
 	})
-	if e, ok := r.FIB.Lookup(mustA("20.1.2.3")); !ok || e.Net != net1 {
+	if e, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.1.2.3")); !ok || e.Net != net1 {
 		t.Fatal("reload disturbed the live BGP route")
 	}
 	if n := stableOps.Load(); n != 0 {
@@ -192,7 +193,7 @@ func TestReloadValidateRejectAtomic(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCond(t, "static routes in FIB", func() bool {
-		_, ok := r.FIB.Lookup(mustA("10.99.1.1"))
+		_, ok := r.FEA.Snapshots().Current().Get(mustP("10.99.0.0/16"))
 		return ok
 	})
 	before := txDump(t, r)
@@ -232,7 +233,7 @@ func TestReloadKillMidCommitRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCond(t, "static routes in FIB", func() bool {
-		_, ok := r.FIB.Lookup(mustA("10.99.1.1"))
+		_, ok := r.FEA.Snapshots().Current().Get(mustP("10.99.0.0/16"))
 		return ok
 	})
 	before := txDump(t, r)
@@ -262,7 +263,7 @@ func TestReloadKillMidCommitRollsBack(t *testing.T) {
 		t.Fatalf("generation bumped to %d on rollback", g)
 	}
 	waitCond(t, "staged static route rolled back", func() bool {
-		e, ok := r.FIB.Lookup(mustA("10.77.1.1"))
+		e, ok := r.FEA.Snapshots().Current().Lookup(mustA("10.77.1.1"))
 		return !ok || e.Net != mustP("10.77.0.0/16")
 	})
 	if after := txDump(t, r); after != before {
@@ -283,7 +284,7 @@ func TestReloadKillBetweenPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCond(t, "static routes in FIB", func() bool {
-		_, ok := r.FIB.Lookup(mustA("10.99.1.1"))
+		_, ok := r.FEA.Snapshots().Current().Get(mustP("10.99.0.0/16"))
 		return ok
 	})
 	before := txDump(t, r)
@@ -323,7 +324,7 @@ func TestReloadSimulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.SettleAll()
-	if _, ok := r.FIB.Lookup(mustA("10.99.1.1")); !ok {
+	if _, ok := r.FEA.Snapshots().Current().Lookup(mustA("10.99.1.1")); !ok {
 		t.Fatal("static route missing before reload")
 	}
 
@@ -334,10 +335,10 @@ func TestReloadSimulated(t *testing.T) {
 		t.Fatalf("simulated reload: %v", err)
 	}
 	r.SettleAll()
-	if _, ok := r.FIB.Lookup(mustA("10.77.1.1")); !ok {
+	if _, ok := r.FEA.Snapshots().Current().Lookup(mustA("10.77.1.1")); !ok {
 		t.Fatal("new static route missing after simulated reload")
 	}
-	if e, ok := r.FIB.Lookup(mustA("10.99.1.1")); ok && e.Net == mustP("10.99.0.0/16") {
+	if e, ok := r.FEA.Snapshots().Current().Lookup(mustA("10.99.1.1")); ok && e.Net == mustP("10.99.0.0/16") {
 		t.Fatal("old static route still installed after simulated reload")
 	}
 	if g := r.Generation(); g != 2 {
@@ -400,7 +401,7 @@ func TestReloadRemovePeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitCond(t, "static routes in FIB", func() bool {
-		_, ok := r.FIB.Lookup(mustA("10.0.1.1"))
+		_, ok := r.FEA.Snapshots().Current().Lookup(mustA("10.0.1.1"))
 		return ok
 	})
 	netP1, netP2 := mustP("20.1.0.0/16"), mustP("20.2.0.0/16")
@@ -411,8 +412,8 @@ func TestReloadRemovePeer(t *testing.T) {
 			Attrs: workload.TestAttrs(mustA("10.0.0.2"), 65003), NLRI: []netip.Prefix{netP2}})
 	})
 	waitCond(t, "both BGP routes in FIB", func() bool {
-		_, ok1 := r.FIB.Lookup(mustA("20.1.2.3"))
-		_, ok2 := r.FIB.Lookup(mustA("20.2.2.3"))
+		_, ok1 := r.FEA.Snapshots().Current().Lookup(mustA("20.1.2.3"))
+		_, ok2 := r.FEA.Snapshots().Current().Lookup(mustA("20.2.2.3"))
 		return ok1 && ok2
 	})
 
@@ -427,10 +428,10 @@ func TestReloadRemovePeer(t *testing.T) {
 		t.Fatalf("reload: %v", err)
 	}
 	waitCond(t, "p2's route withdrawn", func() bool {
-		e, ok := r.FIB.Lookup(mustA("20.2.2.3"))
+		e, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.2.2.3"))
 		return !ok || e.Net != netP2
 	})
-	if e, ok := r.FIB.Lookup(mustA("20.1.2.3")); !ok || e.Net != netP1 {
+	if e, ok := r.FEA.Snapshots().Current().Lookup(mustA("20.1.2.3")); !ok || e.Net != netP1 {
 		t.Fatal("p1's route lost when p2 was removed")
 	}
 	var gone bool

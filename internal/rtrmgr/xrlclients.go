@@ -169,18 +169,10 @@ type xrlFIBClient struct {
 	stub *xif.FTIClient
 }
 
-// FIBAdd implements rib.FIBClient.
-func (c *xrlFIBClient) FIBAdd(e route.Entry) { c.stub.AddEntry4(e, nil) }
-
-// FIBReplace implements rib.FIBClient.
-func (c *xrlFIBClient) FIBReplace(_, new route.Entry) { c.stub.AddEntry4(new, nil) }
-
-// FIBDelete implements rib.FIBClient.
-func (c *xrlFIBClient) FIBDelete(e route.Entry) { c.stub.DeleteEntry4(e.Net, nil) }
-
-// FIBApplyBatch implements rib.FIBBatchClient: the coalesced update set
-// ships as runs of list-carrying XRLs (adds/replaces as add_entries4,
-// deletes as delete_entries4) instead of one XRL per route.
+// FIBApplyBatch implements rib.FIBClient: the coalesced update set ships
+// as runs of list-carrying XRLs (adds/replaces as add_entries4, deletes
+// as delete_entries4) instead of one XRL per route; a batch of one is a
+// one-item list.
 func (c *xrlFIBClient) FIBApplyBatch(b *rib.FIBBatch) {
 	var adds, dels []xrl.Atom
 	flushAdds := func() {

@@ -26,8 +26,8 @@ const (
 	// StageRIBIn: the route entered the RIB's stage network (origin
 	// table load).
 	StageRIBIn
-	// StageFIBApply: the FEA applied the route to the forwarding
-	// backend (kernel FIB / netlink), individually or in a batch.
+	// StageFIBApply: the FEA applied the route to its forwarding
+	// table, one batch per fti call or RIB push.
 	StageFIBApply
 	// StageSnapPub: the immutable forwarding snapshot containing the
 	// route was published (the atomic pointer flip data-plane workers

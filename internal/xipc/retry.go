@@ -84,15 +84,6 @@ func (r *Router) SendIdempotent(x xrl.XRL, cb Callback) {
 	r.loop.Dispatch(func() { r.sendIdemInLoop(x, cb) })
 }
 
-// SendIdempotentFromLoop is SendIdempotent for callers already on the
-// router's event loop.
-func (r *Router) SendIdempotentFromLoop(x xrl.XRL, cb Callback) {
-	if cb == nil {
-		cb = func(xrl.Args, *xrl.Error) {}
-	}
-	r.sendIdemInLoop(x, cb)
-}
-
 // sendIdemInLoop starts the retrying send. Local targets dispatch
 // directly and cannot fail with a transport error, so they skip the
 // retry wrapper — keeping the intra-process hot path (e.g. batched RIB
