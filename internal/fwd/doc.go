@@ -20,7 +20,7 @@
 //	      ▼
 //	 FEA ApplyBatch: validate, profile points 7 and 8, trace stamps
 //	      │
-//	 Publisher.Apply: derive snapshot n+1 from n (path-copying trie)
+//	 Publisher.Apply: derive snapshot n+1 from n (one trie.Txn per batch)
 //	      │  one atomic pointer flip
 //	      ▼
 //	 ┌─────────┬─────────┬─────────┐

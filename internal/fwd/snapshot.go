@@ -53,10 +53,10 @@ type Source interface {
 }
 
 // Publisher owns the write side of the RCU-style snapshot chain: each
-// applied rib.FIBBatch derives the next version from the current one by
-// path copying and publishes it with one atomic pointer store. Writers
-// serialize among themselves on an internal mutex that no reader ever
-// touches; Current is a single atomic load.
+// applied rib.FIBBatch derives the next version from the current one in
+// one transient trie edit and publishes it with one atomic pointer store.
+// Writers serialize among themselves on an internal mutex that no reader
+// ever touches; Current is a single atomic load.
 //
 // Publisher implements Source, so workers can chase its snapshots. In an
 // assembled router the FEA owns the Publisher and is its only writer.
@@ -103,22 +103,23 @@ func (p *Publisher) SetInstallObserver(fn func(route.Entry)) {
 }
 
 // Apply derives the next snapshot from the current one by applying the
-// batch's net operations and publishes it. The whole batch becomes
-// visible in one pointer flip. Entries with an invalid prefix are
+// batch's net operations in one trie.Txn, so a node shared with the
+// current snapshot is copied at most once per batch, and publishes it.
+// The whole batch becomes visible in one pointer flip. Entries with an invalid prefix are
 // ignored. Returns the published snapshot.
 func (p *Publisher) Apply(b *rib.FIBBatch) *Snapshot {
 	p.mu.Lock()
 	old := p.cur.Load()
-	tbl := old.tbl
+	x := old.tbl.Txn()
 	b.Ops(func(op rib.FIBOp) {
 		switch op.Kind {
 		case rib.FIBOpAdd, rib.FIBOpReplace:
-			tbl = tbl.Insert(op.New.Net, op.New)
+			x.Insert(op.New.Net, op.New)
 		case rib.FIBOpDelete:
-			tbl, _ = tbl.Delete(op.Old.Net)
+			x.Delete(op.Old.Net)
 		}
 	})
-	next := &Snapshot{gen: old.gen + 1, tbl: tbl}
+	next := &Snapshot{gen: old.gen + 1, tbl: x.Commit()}
 	p.cur.Store(next)
 	onInstall := p.onInstall
 	p.mu.Unlock()

@@ -19,29 +19,34 @@ import (
 // the Figures 10–12 latency path crosses the real IPC machinery.
 
 // xrlRIBClient implements bgp.RIBClient over the typed xif.RIBClient
-// stub. Consecutive AddRoute calls issued within one event-loop drain (a
-// full table load, a burst of decision-process output) coalesce into
-// add_routes4 list XRLs, so the preload of the Figures 10–12 experiments
-// rides the RIB's batch fast path; replaces, deletes and the end of the
-// drain flush the pending run, preserving the per-route XRL order.
+// stub. Every call issued within one event-loop drain (a full table load,
+// a peer-down flush, a burst of decision-process output) joins one
+// ordered pending queue, shipped at the end of the drain (or at
+// ribBatchCap) as one add_routes4 or delete_routes4 list XRL per maximal
+// run of the same protocol and kind. Replaces ride in the add runs, since
+// the RIB's origin tables upsert. The runs go out in queue order, so the
+// RIB sees the per-route order; a full-table event costs O(batches) of
+// IPC, not O(routes). A withdrawal of a route the RIB does not hold is
+// skipped, as delete_routes4 does, rather than reported to done.
 type xrlRIBClient struct {
 	stub *xif.RIBClient
 	loop *eventloop.Loop
 
-	pend        []pendingRIBAdd
+	pend        []pendingRIBOp
 	flushQueued bool
 }
 
-// pendingRIBAdd is one buffered AddRoute, pre-encoded so no *bgp.Route is
-// retained past the call.
-type pendingRIBAdd struct {
+// pendingRIBOp is one queued add (or replace) or delete, pre-encoded so
+// no *bgp.Route is retained past the call.
+type pendingRIBOp struct {
+	del   bool
 	proto string
-	atom  xrl.Atom
+	atom  xrl.Atom // a route atom for an add, a network for a delete
 	done  func(error)
 }
 
-// ribAddBatchCap bounds the buffered run (and thus the list XRL size).
-const ribAddBatchCap = 256
+// ribBatchCap bounds the queue (and thus the list XRL size).
+const ribBatchCap = 256
 
 func protoName(r *bgp.Route) string {
 	if r.Src != nil && r.Src.IBGP {
@@ -58,15 +63,31 @@ func ribEntryOf(r *bgp.Route) route.Entry {
 	return e
 }
 
-// AddRoute implements bgp.RIBClient, buffering the add into the current
-// coalescing run.
+// AddRoute implements bgp.RIBClient.
 func (c *xrlRIBClient) AddRoute(r *bgp.Route, done func(error)) {
-	c.pend = append(c.pend, pendingRIBAdd{
-		proto: protoName(r),
-		atom:  xif.EncodeRouteAtom(ribEntryOf(r)),
-		done:  done,
-	})
-	if len(c.pend) >= ribAddBatchCap {
+	c.enqueue(pendingRIBOp{proto: protoName(r), atom: xif.EncodeRouteAtom(ribEntryOf(r)), done: done})
+}
+
+// ReplaceRoute implements bgp.RIBClient. Protocol identity may change
+// between old and new (ebgp vs ibgp winner): the RIB keys origin tables
+// by protocol, so the old entry is withdrawn first when it moved.
+func (c *xrlRIBClient) ReplaceRoute(old, new *bgp.Route, done func(error)) {
+	if protoName(old) != protoName(new) {
+		c.DeleteRoute(old, nil)
+	}
+	c.AddRoute(new, done)
+}
+
+// DeleteRoute implements bgp.RIBClient.
+func (c *xrlRIBClient) DeleteRoute(r *bgp.Route, done func(error)) {
+	c.enqueue(pendingRIBOp{del: true, proto: protoName(r), atom: xif.EncodeNetAtom(r.Net), done: done})
+}
+
+// enqueue appends op to the queue, flushing at the cap and otherwise at
+// the end of the current drain.
+func (c *xrlRIBClient) enqueue(op pendingRIBOp) {
+	c.pend = append(c.pend, op)
+	if len(c.pend) >= ribBatchCap {
 		c.flush()
 		return
 	}
@@ -76,18 +97,15 @@ func (c *xrlRIBClient) AddRoute(r *bgp.Route, done func(error)) {
 	}
 }
 
-// flush ships the buffered adds as one add_routes4 per consecutive
-// same-protocol run.
+// flush ships the queue as one list XRL per maximal same-protocol,
+// same-kind run, in order.
 func (c *xrlRIBClient) flush() {
 	c.flushQueued = false
-	if len(c.pend) == 0 {
-		return
-	}
 	pend := c.pend
 	c.pend = nil
 	for start := 0; start < len(pend); {
 		end := start + 1
-		for end < len(pend) && pend[end].proto == pend[start].proto {
+		for end < len(pend) && pend[end].proto == pend[start].proto && pend[end].del == pend[start].del {
 			end++
 		}
 		run := pend[start:end]
@@ -100,30 +118,17 @@ func (c *xrlRIBClient) flush() {
 				dones = append(dones, run[i].done)
 			}
 		}
-		c.stub.AddRoutes4Encoded(run[0].proto, items, func(err error) {
+		done := func(err error) {
 			for _, d := range dones {
 				d(err)
 			}
-		})
+		}
+		if run[0].del {
+			c.stub.DeleteRoutes4Encoded(run[0].proto, items, done)
+		} else {
+			c.stub.AddRoutes4Encoded(run[0].proto, items, done)
+		}
 	}
-}
-
-// ReplaceRoute implements bgp.RIBClient.
-func (c *xrlRIBClient) ReplaceRoute(old, new *bgp.Route, done func(error)) {
-	c.flush() // keep the stream ordered past the buffered adds
-	// Protocol identity may change between old and new (ebgp vs ibgp
-	// winner): the RIB keys origin tables by protocol, so clear the old
-	// entry when it moved.
-	if protoName(old) != protoName(new) {
-		c.DeleteRoute(old, nil)
-	}
-	c.stub.ReplaceRoute4(protoName(new), ribEntryOf(new), done)
-}
-
-// DeleteRoute implements bgp.RIBClient.
-func (c *xrlRIBClient) DeleteRoute(r *bgp.Route, done func(error)) {
-	c.flush() // keep the stream ordered past the buffered adds
-	c.stub.DeleteRoute4(protoName(r), r.Net, done)
 }
 
 // xrlMetricSource implements bgp.MetricSource over the rib/1.0
@@ -194,7 +199,7 @@ func (c *xrlFIBClient) FIBApplyBatch(b *rib.FIBBatch) {
 			adds = append(adds, xif.EncodeRouteAtom(op.New))
 		case rib.FIBOpDelete:
 			flushAdds()
-			dels = append(dels, xrl.Text("", op.Old.Net.String()))
+			dels = append(dels, xif.EncodeNetAtom(op.Old.Net))
 		}
 	})
 	flushAdds()

@@ -155,6 +155,134 @@ func TestPersistentMatchesTrie(t *testing.T) {
 	}
 }
 
+// TestTxnMatchesTrie drives random multi-op batches through Txn/Commit
+// and the same ops into a mutable Trie, demanding identical Get,
+// LongestMatch and Walk results after every commit. It also checks
+// persistence: every earlier committed version still walks exactly as it
+// did when committed, so an in-place edit that leaked into a published
+// node fails here.
+func TestTxnMatchesTrie(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	mt := New[uint32]()
+	pt := NewPersistent[uint32]()
+
+	randPrefix := func() netip.Prefix {
+		if r.Intn(8) == 0 {
+			a := netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, byte(r.Intn(4)), byte(r.Intn(16))})
+			p, _ := a.Prefix(32 + r.Intn(33))
+			return p
+		}
+		a := netip.AddrFrom4([4]byte{byte(10 + r.Intn(4)), byte(r.Intn(8)), byte(r.Intn(8)), byte(r.Intn(4))})
+		p, _ := a.Prefix(8 + r.Intn(25))
+		return p
+	}
+	probes := make([]netip.Addr, 64)
+	for i := range probes {
+		probes[i] = netip.AddrFrom4([4]byte{byte(10 + r.Intn(4)), byte(r.Intn(8)), byte(r.Intn(8)), byte(r.Intn(256))})
+	}
+	for i := 0; i < 16; i++ {
+		probes = append(probes, netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, byte(r.Intn(4)), byte(r.Intn(16)), 0, 0, 0, 0, 0, 0, 0, 0, 0, 1}))
+	}
+
+	type kv struct {
+		p netip.Prefix
+		v uint32
+	}
+	walkP := func(pt *Persistent[uint32]) []kv {
+		var out []kv
+		pt.Walk(func(p netip.Prefix, v uint32) bool { out = append(out, kv{p, v}); return true })
+		return out
+	}
+	type version struct {
+		pt   *Persistent[uint32]
+		walk []kv
+	}
+	var versions []version
+	var live []netip.Prefix
+	for batch := 0; batch < 300; batch++ {
+		x := pt.Txn()
+		var touched []netip.Prefix
+		for n := 1 + r.Intn(40); n > 0; n-- {
+			if r.Intn(3) != 0 || len(live) == 0 {
+				p := randPrefix()
+				v := r.Uint32()
+				mt.Insert(p, v)
+				x.Insert(p, v)
+				live = append(live, p)
+				touched = append(touched, p)
+			} else {
+				i := r.Intn(len(live))
+				p := live[i]
+				live = append(live[:i], live[i+1:]...)
+				_, mok := mt.Delete(p)
+				if xok := x.Delete(p); mok != xok {
+					t.Fatalf("batch %d: delete(%v) trie=%v txn=%v", batch, p, mok, xok)
+				}
+				touched = append(touched, p)
+			}
+		}
+		pt = x.Commit()
+		if mt.Len() != pt.Len() {
+			t.Fatalf("batch %d: len trie=%d persistent=%d", batch, mt.Len(), pt.Len())
+		}
+		for _, p := range touched {
+			mv, mok := mt.Get(p)
+			pv, pok := pt.Get(p)
+			if mok != pok || mv != pv {
+				t.Fatalf("batch %d: Get(%v) trie=(%d,%v) persistent=(%d,%v)", batch, p, mv, mok, pv, pok)
+			}
+		}
+		for _, a := range probes {
+			mp, mv, mok := mt.LongestMatch(a)
+			pp, pv, pok := pt.LongestMatch(a)
+			if mok != pok || mp != pp || mv != pv {
+				t.Fatalf("batch %d: LPM(%v) trie=(%v,%d,%v) persistent=(%v,%d,%v)",
+					batch, a, mp, mv, mok, pp, pv, pok)
+			}
+		}
+		var ms []kv
+		mt.Walk(func(p netip.Prefix, v uint32) bool { ms = append(ms, kv{p, v}); return true })
+		ps := walkP(pt)
+		if len(ms) != len(ps) {
+			t.Fatalf("batch %d: walk counts differ: %d vs %d", batch, len(ms), len(ps))
+		}
+		for i := range ms {
+			if ms[i] != ps[i] {
+				t.Fatalf("batch %d: walk[%d]: trie=%v persistent=%v", batch, i, ms[i], ps[i])
+			}
+		}
+		versions = append(versions, version{pt, ps})
+	}
+	for i, v := range versions {
+		got := walkP(v.pt)
+		if len(got) != len(v.walk) || v.pt.Len() != len(v.walk) {
+			t.Fatalf("version %d changed after commit: %d entries, was %d", i, len(got), len(v.walk))
+		}
+		for j := range got {
+			if got[j] != v.walk[j] {
+				t.Fatalf("version %d changed after commit: walk[%d] = %v, was %v", i, j, got[j], v.walk[j])
+			}
+		}
+	}
+}
+
+// TestTxnUseAfterCommitPanics pins that a committed Txn cannot edit the
+// version it published.
+func TestTxnUseAfterCommitPanics(t *testing.T) {
+	x := NewPersistent[int]().Txn()
+	x.Insert(netip.MustParsePrefix("10.0.0.0/8"), 1)
+	v := x.Commit()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Insert after Commit did not panic")
+		}
+		if got, _ := v.Get(netip.MustParsePrefix("10.0.0.0/8")); got != 1 {
+			t.Fatalf("committed version changed: %d", got)
+		}
+	}()
+	x.Insert(netip.MustParsePrefix("10.0.0.0/8"), 2)
+}
+
 func BenchmarkPersistentLongestMatch(b *testing.B) {
 	r := rand.New(rand.NewSource(3))
 	pt := NewPersistent[int]()

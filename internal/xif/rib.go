@@ -344,9 +344,16 @@ func (c *RIBClient) AddRoutes4Encoded(proto string, items []xrl.Atom, done func(
 
 // DeleteRoutes4 withdraws a batch of prefixes as one list XRL.
 func (c *RIBClient) DeleteRoutes4(proto string, nets []netip.Prefix, done func(error)) {
+	c.DeleteRoutes4Encoded(proto, EncodeNetAtoms(nets), done)
+}
+
+// DeleteRoutes4Encoded is DeleteRoutes4 for callers that pre-encode
+// prefixes with EncodeNetAtom (per-drain coalescers encode at enqueue
+// time).
+func (c *RIBClient) DeleteRoutes4Encoded(proto string, items []xrl.Atom, done func(error)) {
 	c.call("delete_routes4", Done(done),
 		xrl.Text("protocol", proto),
-		xrl.List("networks", EncodeNetAtoms(nets)...))
+		xrl.List("networks", items...))
 }
 
 // ResyncComplete4 signals end-of-resync for proto after a graceful

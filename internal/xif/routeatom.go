@@ -80,12 +80,17 @@ func EncodeRouteAtoms(es []route.Entry) []xrl.Atom {
 	return items
 }
 
-// EncodeNetAtoms encodes a batch of prefixes as delete_routes4 /
-// delete_entries4 list items (bare prefix text).
+// EncodeNetAtom encodes one prefix as a delete_routes4 /
+// delete_entries4 list item (bare prefix text).
+func EncodeNetAtom(net netip.Prefix) xrl.Atom {
+	return xrl.Text("", net.String())
+}
+
+// EncodeNetAtoms encodes a batch of prefixes with EncodeNetAtom.
 func EncodeNetAtoms(nets []netip.Prefix) []xrl.Atom {
 	items := make([]xrl.Atom, len(nets))
 	for i := range nets {
-		items[i] = xrl.Text("", nets[i].String())
+		items[i] = EncodeNetAtom(nets[i])
 	}
 	return items
 }
