@@ -44,6 +44,10 @@ type fanoutBranch struct {
 	// runPos is the resume cursor of a sink branch that applied
 	// backpressure mid-run, so redelivery skips already-consumed routes.
 	runPos int
+	// idle marks a peer branch whose peer has no session: it consumes
+	// queued changes as no-ops, so nothing is filtered or stored for a
+	// peer nobody can send to (see Fanout.idle).
+	idle bool
 }
 
 // NewFanout returns an empty fanout stage.
@@ -104,6 +108,42 @@ func (f *Fanout) RemoveBranch(name string) {
 	}
 }
 
+// idle parks a peer branch while its peer has no session: like the
+// deletion stage (§5.1.2), per-peering state follows the peering's state.
+// The branch keeps its reader, so the queue still trims past it, but
+// consumes every change as a no-op; flow control is lifted, since an
+// idle branch consumes at once.
+func (f *Fanout) idle(name string) {
+	b, ok := f.branches[name]
+	if !ok {
+		return
+	}
+	b.idle = true
+	b.reader.SetBusy(false)
+	f.schedulePump()
+}
+
+// resume takes an idle peer branch live. Changes still queued for it are
+// consumed as no-ops first: winners, the decision process's current best
+// routes, already reflect them. Then every winner sendable to the peer is
+// announced into the branch, and later changes flow as usual.
+func (f *Fanout) resume(name string, winners []*Route) {
+	b, ok := f.branches[name]
+	if !ok {
+		return
+	}
+	b.reader.Pump()
+	b.idle = false
+	for _, r := range winners {
+		if b.idle {
+			return // the session failed mid-dump and idled the branch again
+		}
+		if sendable(r, b.peer) {
+			b.head.Add(r)
+		}
+	}
+}
+
 // SetBusy flow-controls one branch (a peer whose transport is congested).
 func (f *Fanout) SetBusy(name string, busy bool) {
 	if b, ok := f.branches[name]; ok {
@@ -148,6 +188,9 @@ func sendable(r *Route, peer *PeerHandle) bool {
 // screened with a single sendable check (run members share Src, the only
 // route field sendable reads).
 func (f *Fanout) deliverPeer(b *fanoutBranch, e fanoutEntry) bool {
+	if b.idle {
+		return true
+	}
 	if e.run != nil {
 		if sendable(e.run[0], b.peer) {
 			addRun(b.head, e.run)

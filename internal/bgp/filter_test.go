@@ -1,7 +1,6 @@
 package bgp
 
 import (
-	"net/netip"
 	"testing"
 	"time"
 
@@ -64,41 +63,6 @@ func TestFilterDropIfNexthopEquals(t *testing.T) {
 	}
 	if f(other) == nil {
 		t.Fatal("innocent route dropped")
-	}
-}
-
-func TestPeerOutResyncAfterSessionBounce(t *testing.T) {
-	// A PeerOut retains the announced table across sessions so a
-	// re-established peer receives a full resync.
-	peer := testPeer("p", "10.0.0.9", 65009, false)
-	var msgs []*UpdateMsg
-	po := NewPeerOut(peer, UpdateSenderFunc(func(m *UpdateMsg) { msgs = append(msgs, m) }))
-	for i := 0; i < 5; i++ {
-		po.Add(&Route{
-			Net:   netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i), 0, 0}), 16),
-			Attrs: attrsVia("10.0.0.1", 65001),
-		})
-	}
-	if po.AnnouncedCount() != 5 {
-		t.Fatalf("announced %d", po.AnnouncedCount())
-	}
-	// Session bounce: replay.
-	replayed := 0
-	po.WalkAnnounced(func(r *Route) bool {
-		replayed++
-		return true
-	})
-	if replayed != 5 {
-		t.Fatalf("resync walked %d routes", replayed)
-	}
-	// Early-terminating walk.
-	n := 0
-	po.WalkAnnounced(func(*Route) bool {
-		n++
-		return false
-	})
-	if n != 1 {
-		t.Fatalf("walk did not stop early (n=%d)", n)
 	}
 }
 

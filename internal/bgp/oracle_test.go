@@ -131,10 +131,9 @@ func (o *oracleRouter) announcedSet(m *oracleMember) map[netip.Prefix]*Route {
 			return true
 		})
 	} else {
-		m.pout.WalkAnnounced(func(r *Route) bool {
-			set[r.Net] = r
-			return true
-		})
+		for net, r := range m.pout.announced {
+			set[net] = r
+		}
 	}
 	return set
 }

@@ -208,7 +208,7 @@ func (p *Peer) writeMsg(buf []byte) {
 // SendUpdate implements UpdateSender: the PeerOut emits through here.
 func (p *Peer) SendUpdate(m *UpdateMsg) {
 	if p.state != StateEstablished {
-		return // PeerOut.announced retains state; resync re-sends on establish
+		return // the branch is idle without a session; Established dumps the table
 	}
 	buf, err := AppendUpdate(p.encBuf[:0], m)
 	if err != nil {
@@ -329,25 +329,9 @@ func (p *Peer) established() {
 			p.writeMsg(AppendKeepalive(p.encBuf[:0]))
 		}
 	})
-	p.resync()
 	if p.proc != nil {
-		p.proc.peerStateChanged(p)
+		p.proc.peerStateChanged(p) // the table dump to the new session
 	}
-}
-
-// resync replays the announced table to a (re)established session.
-func (p *Peer) resync() {
-	if p.groupOut != nil {
-		p.groupOut.ResyncMember(p.handle)
-		return
-	}
-	if p.peerout == nil {
-		return
-	}
-	p.peerout.WalkAnnounced(func(r *Route) bool {
-		p.SendUpdate(&UpdateMsg{Attrs: r.Attrs, NLRI: []netip.Prefix{r.Net}})
-		return true
-	})
 }
 
 func (p *Peer) handleUpdate(u *UpdateMsg) {

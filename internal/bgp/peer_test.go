@@ -187,6 +187,50 @@ func TestSessionTeardownTriggersDeletion(t *testing.T) {
 	})
 }
 
+// TestSessionBounceRedumpsTable: a peer's adj-RIB-out lives only as long
+// as its session. After a bounce, b re-learns every route from the dump a
+// sends when the new session reaches Established.
+func TestSessionBounceRedumpsTable(t *testing.T) {
+	a, b, _, ribB, cleanup := twoRouters(t)
+	defer cleanup()
+
+	const n = 200
+	a.loop.DispatchAndWait(func() {
+		for i := 0; i < n; i++ {
+			a.Originate(netip.PrefixFrom(netip.AddrFrom4([4]byte{10, 70, byte(i), 0}), 24), mustA("127.0.0.1"), 0)
+		}
+	})
+	waitFor(t, "all routes at b", func() bool { return ribB.count() == n })
+
+	announced := func() int {
+		var c int
+		a.loop.DispatchAndWait(func() {
+			peer, _ := a.Peer("to-b")
+			c = peer.peerout.AnnouncedCount()
+		})
+		return c
+	}
+	a.loop.DispatchAndWait(func() {
+		peer, _ := a.Peer("to-b")
+		peer.Disable()
+	})
+	if c := announced(); c != 0 {
+		t.Fatalf("adj-RIB-out holds %d routes with the session down", c)
+	}
+	waitFor(t, "routes withdrawn at b", func() bool { return ribB.count() == 0 })
+
+	a.loop.DispatchAndWait(func() { a.EnablePeer("to-b") })
+	waitFor(t, "routes re-learned at b", func() bool { return ribB.count() == n })
+	if c := announced(); c != n {
+		t.Fatalf("adj-RIB-out holds %d routes after the dump, want %d", c, n)
+	}
+	b.loop.DispatchAndWait(func() {
+		if v := b.CacheViolations(); len(v) != 0 {
+			t.Errorf("consistency violations at b: %v", v)
+		}
+	})
+}
+
 func TestHoldTimerExpiry(t *testing.T) {
 	// A peer that stops sending keepalives must be torn down.
 	loop := eventloop.New(nil)

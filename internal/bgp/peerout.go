@@ -25,8 +25,8 @@ type PeerOut struct {
 	peer   *PeerHandle
 	sender UpdateSender
 
-	// Announced tracks what the peer has been told, so a reconnecting
-	// peer can receive a full table dump and statistics stay honest.
+	// announced is the adj-RIB-out: what the peer has been told in the
+	// current session. Lookup answers from it.
 	announced map[netip.Prefix]*Route
 }
 
@@ -74,11 +74,10 @@ func (p *PeerOut) send(m *UpdateMsg) {
 // Lookup implements Stage: what the peer was told.
 func (p *PeerOut) Lookup(net netip.Prefix) *Route { return p.announced[net] }
 
-// WalkAnnounced visits every route the peer knows (session resync).
-func (p *PeerOut) WalkAnnounced(fn func(*Route) bool) {
-	for _, r := range p.announced {
-		if !fn(r) {
-			return
-		}
+// drop forgets the adj-RIB-out (the session went away; the next one is
+// dumped the table afresh).
+func (p *PeerOut) drop() {
+	if len(p.announced) > 0 {
+		p.announced = make(map[netip.Prefix]*Route)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 
 	"xorp/internal/core"
 	"xorp/internal/eventloop"
@@ -323,6 +324,7 @@ func (p *Process) AddPeer(cfg PeerConfig) (*Peer, error) {
 		peer.peerout = NewPeerOut(peer.handle, peer)
 		Plumb(outBank, peer.peerout)
 		p.fanout.AddPeerBranch(cfg.Name, peer.handle, outBank)
+		p.peerStateChanged(peer) // no session yet: idle until Established
 	}
 
 	// Hook the input branch up only after the output side exists, so the
@@ -414,8 +416,54 @@ func (p *Process) EnablePeer(name string) error {
 	return nil
 }
 
-// peerStateChanged is the FSM's callback on session transitions.
-func (p *Process) peerStateChanged(peer *Peer) {}
+// peerStateChanged is the FSM's callback on session transitions; AddPeer
+// also calls it, for a peer that has not connected yet. A per-peer output
+// branch is live only while its session is Established: without one it
+// is idled and its adj-RIB-out dropped, and on Established it is dumped
+// the current winners. A peer-group member is resynced from the group's
+// shared state instead.
+func (p *Process) peerStateChanged(peer *Peer) {
+	established := peer.state == StateEstablished
+	switch {
+	case peer.groupOut != nil:
+		if established {
+			peer.groupOut.ResyncMember(peer.handle)
+		}
+	case established:
+		p.fanout.resume(peer.cfg.Name, p.winners())
+	default:
+		p.fanout.idle(peer.cfg.Name)
+		peer.peerout.drop()
+	}
+}
+
+// winners returns the decision process's current best route for every
+// prefix an input branch holds, in prefix order. Each input branch ends
+// in a nexthop resolver whose announced table is exactly what the
+// decision process has seen from it, including routes a deletion stage
+// has not yet withdrawn; a winner is the route its own branch announced,
+// so each prefix is collected once.
+func (p *Process) winners() []*Route {
+	var out []*Route
+	collect := func(nh *NexthopResolver) {
+		for net, r := range nh.announced {
+			if p.decision.Lookup(net) == r {
+				out = append(out, r)
+			}
+		}
+	}
+	collect(p.localNH)
+	for _, peer := range p.peers {
+		collect(peer.resolver)
+	}
+	slices.SortFunc(out, func(a, b *Route) int {
+		if c := a.Net.Addr().Compare(b.Net.Addr()); c != 0 {
+			return c
+		}
+		return a.Net.Bits() - b.Net.Bits()
+	})
+	return out
+}
 
 // Originate injects a locally originated route (the originate_route XRL;
 // also the redistribution entry point used by the RIB's redist stage).

@@ -25,8 +25,11 @@ type ExtIntStage struct {
 	// announced downstream (ok=false when unresolvable), and which
 	// internal prefix resolved it.
 	resolvedExt map[netip.Prefix]extState
-	// announced is the stage's downstream view (both sides merged).
+	// announced is the stage's downstream view (both sides merged): the
+	// RIB's final table, which the register stage also answers from.
 	announced *trie.Trie[route.Entry]
+
+	runBuf []route.Entry // reused by the batch paths' runEmitter
 }
 
 type extState struct {
@@ -126,7 +129,7 @@ type nhResult struct {
 // nexthops) and re-coalescing the downstream emissions into runs. The
 // emitted stream is identical to per-route extChanged calls.
 func (s *ExtIntStage) extAddBatch(es []route.Entry) {
-	em := runEmitter{next: s.next}
+	em := newRunEmitter(s.next, &s.runBuf)
 	var cache map[netip.Addr]nhResult
 	for i := range es {
 		e := es[i]
@@ -159,17 +162,17 @@ func (s *ExtIntStage) extAddBatch(es []route.Entry) {
 		s.resolvedExt[e.Net] = st
 		s.reconcileTo(e.Net, &em)
 	}
-	em.Flush()
+	em.Close()
 }
 
 // extDeleteBatch processes a run of external withdrawals.
 func (s *ExtIntStage) extDeleteBatch(es []route.Entry) {
-	em := runEmitter{next: s.next}
+	em := newRunEmitter(s.next, &s.runBuf)
 	for i := range es {
 		delete(s.resolvedExt, es[i].Net)
 		s.reconcileTo(es[i].Net, &em)
 	}
-	em.Flush()
+	em.Close()
 }
 
 // intChanged re-resolves external routes affected by an internal change
@@ -181,11 +184,11 @@ func (s *ExtIntStage) intChanged(net netip.Prefix) {
 // intChangedBatch applies a run of internal changes, preserving the
 // per-route re-resolution order while coalescing downstream emissions.
 func (s *ExtIntStage) intChangedBatch(es []route.Entry) {
-	em := runEmitter{next: s.next}
+	em := newRunEmitter(s.next, &s.runBuf)
 	for i := range es {
 		s.intChangedTo(es[i].Net, &em)
 	}
-	em.Flush()
+	em.Close()
 }
 
 func (s *ExtIntStage) intChangedTo(net netip.Prefix, out opSink) {

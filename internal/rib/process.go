@@ -92,7 +92,7 @@ func NewProcess(loop *eventloop.Loop, fib FIBClient, router *xipc.Router) *Proce
 		p.origins[route.ProtoEBGP], p.origins[route.ProtoIBGP])
 
 	p.extint = NewExtIntStage("extint", mb, m3)
-	p.register = NewRegisterStage("register", p.notifyInvalid)
+	p.register = NewRegisterStage("register", p.extint.announced, p.notifyInvalid)
 	fibSink := &fibSinkStage{base: base{name: "fib"}, proc: p, batch: NewFIBBatch()}
 	p.chain = []Stage{p.extint, p.register, fibSink}
 	Plumb(p.chain...)
@@ -246,7 +246,7 @@ func (p *Process) AddRedist(name string, filter RedistFilter, out Redistributor)
 	p.chain = append(p.chain[:idx], append([]Stage{rd}, p.chain[idx:]...)...)
 	Plumb(p.chain...)
 	// Prime: replay the current final table into the subscriber only.
-	p.register.shadow.Walk(func(_ netip.Prefix, e route.Entry) bool {
+	p.extint.announced.Walk(func(_ netip.Prefix, e route.Entry) bool {
 		rd.apply(e)
 		return true
 	})
@@ -291,7 +291,7 @@ func (p *Process) SetRedistFilter(name string, filter RedistFilter) error {
 	// Replay the final table: apply() adds what now passes, drops what
 	// no longer does, and is a no-op where the mirrored entry matches.
 	seen := make(map[netip.Prefix]bool)
-	p.register.shadow.Walk(func(net netip.Prefix, e route.Entry) bool {
+	p.extint.announced.Walk(func(net netip.Prefix, e route.Entry) bool {
 		seen[net] = true
 		rd.apply(e)
 		return true

@@ -26,27 +26,30 @@ type registration struct {
 }
 
 // RegisterStage implements interest registration. It is a pass-through
-// stage that shadows the final route table; on any route change
-// overlapping a registration's covering subnet, the client is sent a
-// "cache invalidated" message and the registration dropped (the client
+// stage that answers from the final route table — the extint stage's
+// announced table, which the pass-through stages between them (redist)
+// do not alter — rather than keeping a copy of its own; on any route
+// change overlapping a registration's covering subnet, the client is sent
+// a "cache invalidated" message and the registration dropped (the client
 // re-queries).
 type RegisterStage struct {
 	base
-	shadow *trie.Trie[route.Entry]
-	regs   []registration
+	final *trie.Trie[route.Entry]
+	regs  []registration
 	// notify delivers an invalidation to a client (XRL in production).
 	notify func(client string, covering netip.Prefix)
 }
 
-// NewRegisterStage returns a register stage; notify delivers cache
+// NewRegisterStage returns a register stage answering from final, the
+// table of the routes that flow into it; notify delivers cache
 // invalidations.
-func NewRegisterStage(name string, notify func(client string, covering netip.Prefix)) *RegisterStage {
+func NewRegisterStage(name string, final *trie.Trie[route.Entry], notify func(client string, covering netip.Prefix)) *RegisterStage {
 	if notify == nil {
 		notify = func(string, netip.Prefix) {}
 	}
 	return &RegisterStage{
 		base:   base{name: name},
-		shadow: trie.New[route.Entry](),
+		final:  final,
 		notify: notify,
 	}
 }
@@ -75,7 +78,7 @@ func (rs *RegisterStage) Registrations() int { return len(rs.regs) }
 // answer computes the Figure 8 answer for addr.
 func (rs *RegisterStage) answer(addr netip.Addr) RegistrationAnswer {
 	maxBits := addr.BitLen()
-	matchNet, e, found := rs.shadow.LongestMatch(addr)
+	matchNet, e, found := rs.final.LongestMatch(addr)
 
 	// Start from the matching route's subnet (or the whole space when
 	// nothing matches) and narrow toward addr until no more-specific
@@ -86,7 +89,7 @@ func (rs *RegisterStage) answer(addr netip.Addr) RegistrationAnswer {
 	} else {
 		s, _ = addr.Prefix(0)
 	}
-	for s.Bits() < maxBits && rs.shadow.HasEntryInside(s) {
+	for s.Bits() < maxBits && rs.final.HasEntryInside(s) {
 		narrowed, err := addr.Prefix(s.Bits() + 1)
 		if err != nil {
 			break
@@ -115,9 +118,8 @@ func (rs *RegisterStage) routeChanged(net netip.Prefix) {
 	rs.regs = kept
 }
 
-// Add implements Stage (pass-through + shadow + invalidation).
+// Add implements Stage (pass-through + invalidation).
 func (rs *RegisterStage) Add(e route.Entry) {
-	rs.shadow.Insert(e.Net, e)
 	rs.routeChanged(e.Net)
 	if rs.next != nil {
 		rs.next.Add(e)
@@ -126,7 +128,6 @@ func (rs *RegisterStage) Add(e route.Entry) {
 
 // Replace implements Stage.
 func (rs *RegisterStage) Replace(old, new route.Entry) {
-	rs.shadow.Insert(new.Net, new)
 	rs.routeChanged(new.Net)
 	if rs.next != nil {
 		rs.next.Replace(old, new)
@@ -135,18 +136,16 @@ func (rs *RegisterStage) Replace(old, new route.Entry) {
 
 // Delete implements Stage.
 func (rs *RegisterStage) Delete(e route.Entry) {
-	rs.shadow.Delete(e.Net)
 	rs.routeChanged(e.Net)
 	if rs.next != nil {
 		rs.next.Delete(e)
 	}
 }
 
-// AddBatch implements addBatcher: shadow and invalidate per entry, then
-// pass the whole run downstream in one call.
+// AddBatch implements addBatcher: invalidate per entry, then pass the
+// whole run downstream in one call.
 func (rs *RegisterStage) AddBatch(es []route.Entry) {
 	for i := range es {
-		rs.shadow.Upsert(es[i].Net, es[i])
 		rs.routeChanged(es[i].Net)
 	}
 	sendAddBatch(rs.next, es)
@@ -155,7 +154,6 @@ func (rs *RegisterStage) AddBatch(es []route.Entry) {
 // DeleteBatch implements deleteBatcher.
 func (rs *RegisterStage) DeleteBatch(es []route.Entry) {
 	for i := range es {
-		rs.shadow.Delete(es[i].Net)
 		rs.routeChanged(es[i].Net)
 	}
 	sendDeleteBatch(rs.next, es)
@@ -163,12 +161,12 @@ func (rs *RegisterStage) DeleteBatch(es []route.Entry) {
 
 // Lookup implements Stage.
 func (rs *RegisterStage) Lookup(net netip.Prefix) (route.Entry, bool) {
-	return rs.shadow.Get(net)
+	return rs.final.Get(net)
 }
 
 // LookupBest implements Stage.
 func (rs *RegisterStage) LookupBest(addr netip.Addr) (route.Entry, bool) {
-	_, e, ok := rs.shadow.LongestMatch(addr)
+	_, e, ok := rs.final.LongestMatch(addr)
 	return e, ok
 }
 

@@ -135,11 +135,36 @@ func (ss stageSink) Delete(e route.Entry) {
 // runEmitter coalesces a stream of emissions into runs: consecutive Adds
 // (or Deletes) accumulate and ship downstream as one batch; a Replace or a
 // kind switch flushes first, so the downstream stream is byte-identical to
-// the unbatched one. Callers must Flush when done.
+// the unbatched one. Callers must Close when done.
 type runEmitter struct {
-	next Stage
-	run  []route.Entry
-	kind byte // 'a' or 'd'
+	next  Stage
+	run   []route.Entry
+	kind  byte           // 'a' or 'd'
+	owner *[]route.Entry // the stage's run buffer, returned by Close
+}
+
+// runBufKeep bounds the run buffer a stage keeps between batches, so one
+// outsized batch (a full-table stale sweep) does not pin its array.
+const runBufKeep = 4096
+
+// newRunEmitter returns an emitter into next that borrows the stage's
+// reusable run buffer *buf, so a stage's runs stop regrowing from nil on
+// every batch. While borrowed, *buf is nil: a batch that re-enters the
+// same stage from downstream grows a buffer of its own instead of
+// overwriting a run still being delivered.
+func newRunEmitter(next Stage, buf *[]route.Entry) runEmitter {
+	em := runEmitter{next: next, run: (*buf)[:0], owner: buf}
+	*buf = nil
+	return em
+}
+
+// Close flushes the pending run and hands the buffer back to its stage.
+// Downstream stages never retain a run (see addBatcher), so it is free.
+func (em *runEmitter) Close() {
+	em.Flush()
+	if cap(em.run) <= runBufKeep {
+		*em.owner = em.run[:0]
+	}
 }
 
 func (em *runEmitter) Add(e route.Entry) {
@@ -221,6 +246,8 @@ type OriginTable struct {
 	// emissions advance in lockstep. External origins need no gate:
 	// nothing re-reads their table mid-flush.
 	batchGate func() bool
+
+	runBuf []route.Entry // reused by the batch paths' runEmitter
 }
 
 // NewOriginTable returns an origin table for proto with its default
@@ -327,7 +354,7 @@ func (o *OriginTable) LoadBatch(es []route.Entry) {
 		}
 		return
 	}
-	em := runEmitter{next: o.next}
+	em := newRunEmitter(o.next, &o.runBuf)
 	for _, e := range es {
 		e.Net = e.Net.Masked()
 		e.Protocol = o.proto
@@ -346,7 +373,7 @@ func (o *OriginTable) LoadBatch(es []route.Entry) {
 			em.Add(e)
 		}
 	}
-	em.Flush()
+	em.Close()
 }
 
 // DeleteRoute removes a route and emits Delete.
@@ -372,7 +399,7 @@ func (o *OriginTable) DeleteBatch(nets []netip.Prefix) int {
 		}
 		return removed
 	}
-	em := runEmitter{next: o.next}
+	em := newRunEmitter(o.next, &o.runBuf)
 	for _, net := range nets {
 		old, existed := o.tbl.Delete(net.Masked())
 		o.clearStale(net.Masked())
@@ -382,7 +409,7 @@ func (o *OriginTable) DeleteBatch(nets []netip.Prefix) int {
 		removed++
 		em.Delete(old)
 	}
-	em.Flush()
+	em.Close()
 	return removed
 }
 
@@ -395,7 +422,7 @@ func (o *OriginTable) DeleteAll() *eventloop.Task {
 	it := o.tbl.Iterate()
 	return o.loop.AddTask("delete-all("+o.name+")", func() bool {
 		batched := o.batchOK()
-		em := runEmitter{next: o.next}
+		em := newRunEmitter(o.next, &o.runBuf)
 		done := false
 		for i := 0; i < 64; i++ {
 			if !it.Valid() {
@@ -415,7 +442,7 @@ func (o *OriginTable) DeleteAll() *eventloop.Task {
 				o.next.Delete(e)
 			}
 		}
-		em.Flush()
+		em.Close()
 		return done
 	})
 }
@@ -455,7 +482,8 @@ func (o *OriginTable) LookupBest(addr netip.Addr) (route.Entry, bool) {
 // extensions").
 type MergeStage struct {
 	base
-	a, b Stage // a is the preferred side on full ties
+	a, b   Stage         // a is the preferred side on full ties
+	runBuf []route.Entry // reused by both inputs' batch paths
 }
 
 // NewMergeStage merges parents a and b.
@@ -519,7 +547,7 @@ func (mi *mergeInput) AddBatch(es []route.Entry) {
 		sendAddBatch(mi.m.next, es)
 		return
 	}
-	em := runEmitter{next: mi.m.next}
+	em := newRunEmitter(mi.m.next, &mi.m.runBuf)
 	for _, e := range es {
 		other, ok := mi.other.Lookup(e.Net)
 		if !ok {
@@ -530,7 +558,7 @@ func (mi *mergeInput) AddBatch(es []route.Entry) {
 			em.Replace(other, e)
 		}
 	}
-	em.Flush()
+	em.Close()
 }
 
 // DeleteBatch is the Delete counterpart of AddBatch.
@@ -539,7 +567,7 @@ func (mi *mergeInput) DeleteBatch(es []route.Entry) {
 		sendDeleteBatch(mi.m.next, es)
 		return
 	}
-	em := runEmitter{next: mi.m.next}
+	em := newRunEmitter(mi.m.next, &mi.m.runBuf)
 	for _, e := range es {
 		other, ok := mi.other.Lookup(e.Net)
 		if !ok {
@@ -550,7 +578,7 @@ func (mi *mergeInput) DeleteBatch(es []route.Entry) {
 			em.Replace(e, other)
 		}
 	}
-	em.Flush()
+	em.Close()
 }
 
 func (mi *mergeInput) Lookup(netip.Prefix) (route.Entry, bool)   { panic("rib: mergeInput lookup") }

@@ -98,7 +98,10 @@ func (c *xrlRIBClient) enqueue(op pendingRIBOp) {
 }
 
 // flush ships the queue as one list XRL per maximal same-protocol,
-// same-kind run, in order.
+// same-kind run, in order. The queue's array is reused by the next drain,
+// since each XRL carries its own copy of the run's atoms; while the runs
+// are sent, c.pend is nil, so an enqueue from inside a send starts a
+// queue of its own.
 func (c *xrlRIBClient) flush() {
 	c.flushQueued = false
 	pend := c.pend
@@ -128,6 +131,10 @@ func (c *xrlRIBClient) flush() {
 		} else {
 			c.stub.AddRoutes4Encoded(run[0].proto, items, done)
 		}
+	}
+	clear(pend) // drop the atoms and done callbacks
+	if c.pend == nil {
+		c.pend = pend[:0]
 	}
 }
 
@@ -178,18 +185,31 @@ type xrlFIBClient struct {
 // as runs of list-carrying XRLs (adds/replaces as add_entries4, deletes
 // as delete_entries4) instead of one XRL per route; a batch of one is a
 // one-item list.
+//
+// The atom lists are sized to the batch up front, one array per kind:
+// each shipped run is a capped sub-slice the XRL keeps, and the next run
+// of that kind fills the array after it.
 func (c *xrlFIBClient) FIBApplyBatch(b *rib.FIBBatch) {
-	var adds, dels []xrl.Atom
+	var nAdds, nDels int
+	b.Ops(func(op rib.FIBOp) {
+		if op.Kind == rib.FIBOpDelete {
+			nDels++
+		} else {
+			nAdds++
+		}
+	})
+	adds := make([]xrl.Atom, 0, nAdds)
+	dels := make([]xrl.Atom, 0, nDels)
 	flushAdds := func() {
 		if len(adds) > 0 {
-			c.stub.AddEntries4Encoded(adds, nil)
-			adds = nil
+			c.stub.AddEntries4Encoded(adds[:len(adds):len(adds)], nil)
+			adds = adds[len(adds):]
 		}
 	}
 	flushDels := func() {
 		if len(dels) > 0 {
-			c.stub.DeleteEntries4Encoded(dels, nil)
-			dels = nil
+			c.stub.DeleteEntries4Encoded(dels[:len(dels):len(dels)], nil)
+			dels = dels[len(dels):]
 		}
 	}
 	b.Ops(func(op rib.FIBOp) {
